@@ -20,6 +20,9 @@ Run it directly (pytest does not collect it):
     PYTHONPATH=src python benchmarks/bench_coverage_batch.py            # full size
     PYTHONPATH=src python benchmarks/bench_coverage_batch.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_coverage_batch.py --min-speedup 1.5
+
+Both paths run on the calling thread; ``bench_parallel_fanout.py`` measures
+the process pool.
 """
 
 from __future__ import annotations
@@ -98,13 +101,10 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="exit non-zero when the batched path is not at least this much faster",
     )
-    parser.add_argument("--n-jobs", type=int, default=1, help="worker threads for the batched path")
     args = parser.parse_args(argv)
 
     print(f"building workload ({'quick' if args.quick else 'full'})...", flush=True)
     engine, candidates, positives, negatives = build_workload(args.quick)
-    if args.n_jobs > 1:
-        engine.config = engine.config.but(n_jobs=args.n_jobs)
     examples = positives + negatives
     print(
         f"{len(candidates)} candidate clauses x {len(examples)} examples "
@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     speedup = serial_seconds / batched_seconds if batched_seconds else float("inf")
 
     print(f"serial  : {serial_seconds:8.3f}s  ({checks} coverage checks)")
-    print(f"batched : {batched_seconds:8.3f}s  (n_jobs={max(1, args.n_jobs)})")
+    print(f"batched : {batched_seconds:8.3f}s")
     print(f"speedup : {speedup:8.2f}x")
     print(f"verdicts: {'identical' if mismatches == 0 else f'{mismatches} MISMATCHES'}")
 

@@ -1,19 +1,18 @@
-"""GIL-free process fan-out vs thread and serial coverage, verdict-identical.
+"""GIL-free process fan-out vs serial coverage, verdict-identical.
 
-PR 7's vectorised compute plane made individual coverage checks cheap, but a
+The vectorised compute plane made individual coverage checks cheap, but a
 ``covered_counts`` sweep over many candidate clauses still runs its
-θ-subsumption searches on one interpreter: the thread backend fans out, yet
-Python-level search work contends on the GIL and the wall-clock barely moves
-with cores.  :mod:`repro.core.fanout` ships the *compiled integer plane*
-instead — workers are seeded once with a read-only
+θ-subsumption searches on one interpreter, and Python-level search work
+cannot run in parallel threads under the GIL.  :mod:`repro.core.fanout`
+ships the *compiled integer plane* to worker processes — workers are seeded once with a read-only
 :class:`~repro.logic.compiled.TermInterner` snapshot, compiled clause forms
 travel as flat int tuples, and later dispatches carry only interner deltas
 plus chunked example-id work lists, so the NP-hard matching loops run truly
 in parallel.
 
 This benchmark pits ``DLearnConfig.parallel_backend`` ``"process"`` against
-``"thread"`` and ``"serial"`` (the reference oracle) on the CFD-heavy
-synthetic cells of the dirty-scenario grid:
+``"serial"`` (the reference oracle) on the CFD-heavy synthetic cells of the
+dirty-scenario grid:
 
 * ``covered``  — the gated phase: steady-state ``covered_counts`` over every
   candidate clause after a warm pass (compilation amortised, wires shipped,
@@ -21,7 +20,7 @@ synthetic cells of the dirty-scenario grid:
 * ``fit``      — the covering-loop fit plus test-set prediction, exercising
   the session-level pool sharing.
 
-The three backends must be **observationally identical**: equal coverage
+The two backends must be **observationally identical**: equal coverage
 verdicts and covered counts, equal retained-literal lists, byte-identical
 learned definitions and equal predictions — the run fails otherwise.  The
 ``--min-process-speedup`` floor gates the process/serial ``covered`` ratio on
@@ -59,7 +58,7 @@ from repro.evaluation.cross_validation import train_test_split
 from repro.logic import HornClause
 from repro.logic.subsumption import SubsumptionChecker
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Step budget of the retained identity probe (see bench_binding_matrix.py).
 RETAINED_BUDGET = 5_000
@@ -246,11 +245,11 @@ class _Cell:
             for preparation in self._preparations.values():
                 preparation.close()
 
-        serial = results["serial"]
-        identical = {}
-        for backend in ("thread", "process"):
-            for key in ("verdicts", "counts", "retained", "definition", "predictions"):
-                identical[f"{backend}_{key}"] = serial[key] == results[backend][key]
+        serial, process = results["serial"], results["process"]
+        identical = {
+            f"process_{key}": serial[key] == process[key]
+            for key in ("verdicts", "counts", "retained", "definition", "predictions")
+        }
         cell = {
             "cell": self.label,
             "candidates": serial["candidates"],
@@ -258,13 +257,10 @@ class _Cell:
             "clauses": len(serial["definition"]),
             **{f"identical_{key}": value for key, value in identical.items()},
         }
-        for backend in ("thread", "process"):
-            for phase in ("covered", "fit"):
-                serial_s = serial[f"{phase}_seconds"]
-                backend_s = results[backend][f"{phase}_seconds"]
-                cell[f"{backend}_{phase}_speedup"] = (
-                    round(serial_s / backend_s, 3) if backend_s else float("inf")
-                )
+        for phase in ("covered", "fit"):
+            serial_s = serial[f"{phase}_seconds"]
+            process_s = process[f"{phase}_seconds"]
+            cell[f"process_{phase}_speedup"] = round(serial_s / process_s, 3) if process_s else float("inf")
         for backend in BACKENDS:
             cell[backend] = {
                 f"{phase}_seconds": round(results[backend][f"{phase}_seconds"], 4)
@@ -276,7 +272,7 @@ class _Cell:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI-sized smoke run")
-    parser.add_argument("--jobs", type=int, default=4, help="workers for the thread and process backends")
+    parser.add_argument("--jobs", type=int, default=4, help="workers for the process backend")
     parser.add_argument("--repetitions", type=int, default=2,
                         help="timing repetitions; the minimum is reported")
     parser.add_argument("--min-process-speedup", type=float, default=None,
@@ -291,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         f"start method {host['start_method']}, {args.jobs} workers"
     )
     header = (
-        f"{'cell':<16} {'cands':>6} {'examples':>9} {'thread_x':>9} {'process_x':>10} "
+        f"{'cell':<16} {'cands':>6} {'examples':>9} {'process_x':>10} "
         f"{'fit_x':>7} {'identical':>10}"
     )
     print(header)
@@ -303,24 +299,20 @@ def main(argv: list[str] | None = None) -> int:
         identical = all(value for key, value in cell.items() if key.startswith("identical_"))
         print(
             f"{cell['cell']:<16} {cell['candidates']:>6} {cell['examples']:>9} "
-            f"{cell['thread_covered_speedup']:>8.2f}x {cell['process_covered_speedup']:>9.2f}x "
+            f"{cell['process_covered_speedup']:>9.2f}x "
             f"{cell['process_fit_speedup']:>6.2f}x {'yes' if identical else 'NO':>10}"
         )
 
     aggregates = {}
-    for backend in ("thread", "process"):
-        for phase in ("covered", "fit"):
-            serial_s = sum(cell["serial"][f"{phase}_seconds"] for cell in cells)
-            backend_s = sum(cell[backend][f"{phase}_seconds"] for cell in cells)
-            aggregates[f"{backend}_{phase}_speedup"] = (
-                round(serial_s / backend_s, 3) if backend_s else float("inf")
-            )
+    for phase in ("covered", "fit"):
+        serial_s = sum(cell["serial"][f"{phase}_seconds"] for cell in cells)
+        process_s = sum(cell["process"][f"{phase}_seconds"] for cell in cells)
+        aggregates[f"process_{phase}_speedup"] = round(serial_s / process_s, 3) if process_s else float("inf")
     all_identical = all(
         value for cell in cells for key, value in cell.items() if key.startswith("identical_")
     )
     gate_cells = [cell for cell in cells if cell["cell"] == GATE_CELL]
     gate_speedup = min((cell["process_covered_speedup"] for cell in gate_cells), default=float("inf"))
-    print(f"aggregate thread covered speedup : {aggregates['thread_covered_speedup']:.2f}x")
     print(f"aggregate process covered speedup: {aggregates['process_covered_speedup']:.2f}x")
     print(f"aggregate process fit speedup    : {aggregates['process_fit_speedup']:.2f}x")
     print(f"gate-cell process speedup        : {gate_speedup:.2f}x")

@@ -101,36 +101,28 @@ class DLearnConfig:
         this) — only the cost profile differs.  The pure-Python paths remain
         the reference oracles; without numpy the switch degrades to off.
     n_jobs:
-        Number of worker threads :meth:`repro.core.coverage.CoverageEngine.batch_covers`
-        (and with it ``covered_counts`` and batched prediction) fans the
-        per-example subsumption checks out to.  ``1`` — the default — keeps
-        every check on the calling thread.  Coverage checks are independent
-        per example, so the fan-out is safe (each worker gets its own
-        subsumption checker); how much wall-clock it buys depends on how much
-        of the subsumption work runs outside the GIL, so treat values above 1
-        as an opt-in experiment rather than a guaranteed speed-up.  The
-        clause-level caching of the batched path is always on and independent
-        of this knob.
+        Number of worker processes the coverage fan-out of
+        :meth:`repro.core.coverage.CoverageEngine.batch_covers` (and with it
+        ``covered_counts``) ships per-example subsumption checks to.  Values
+        above 1 do nothing unless ``parallel_backend="process"``; ``1`` — the
+        default — keeps every check on the calling thread.  The clause-level
+        caching of the batched path is always on and independent of this
+        knob.
     parallel_backend:
-        Execution backend of the ``n_jobs`` coverage fan-out:
+        Where coverage batches and sharded chase depths run:
 
-        * ``"thread"`` (the default) — a :class:`~concurrent.futures.ThreadPoolExecutor`
-          over chunked example lists.  Cheap to start and shares every cache,
-          but Python-level search work contends on the GIL.
-        * ``"process"`` — :mod:`repro.core.fanout`'s process pool over the
-          compiled integer plane.  Workers are seeded once with a read-only
-          snapshot of the session :class:`~repro.logic.compiled.TermInterner`
-          and receive compiled clause forms as flat int tuples; later
-          dispatches ship only interner deltas and example-id work lists, so
-          coverage checks scale with cores instead of contending on the GIL.
-          Verdicts are bit-identical to the serial path (the benchmark and
-          property suites assert it).  Falls back to ``"thread"`` with a
-          warning where worker processes cannot be spawned.
-        * ``"serial"`` — force every check onto the calling thread even when
-          ``n_jobs > 1``; the reference oracle for the other two.
-
-        With ``n_jobs == 1`` the backend is irrelevant: everything runs
-        serially on the calling thread.
+        * ``"serial"`` (the default) — on the calling thread; the reference
+          oracle for the process plane.
+        * ``"process"`` — :mod:`repro.core.fanout`'s pool of ``n_jobs``
+          worker processes over the compiled integer plane.  Workers are
+          seeded once with a read-only snapshot of the session
+          :class:`~repro.logic.compiled.TermInterner` and receive compiled
+          clause forms as flat int tuples; later dispatches ship only
+          interner deltas and example-id work lists, so coverage checks run
+          outside the GIL.  Verdicts are bit-identical to the serial path
+          (the benchmark and property suites assert it).  Where worker
+          processes cannot be created the session warns a ``seed-failure``
+          :class:`~repro.core.supervision.FanoutFault` and stays serial.
     shard_count:
         Number of row-wise shards the database instance is partitioned into
         for the saturation chase (:mod:`repro.db.sharding`).  ``1`` — the
@@ -139,27 +131,26 @@ class DLearnConfig:
         and gathers the per-shard probe answers; with
         ``parallel_backend="process"`` the shards live in seeded worker
         processes (:class:`repro.core.fanout.SaturationFanout`) so the
-        per-depth index probes run GIL-free, while the serial/thread
-        backends probe the same shards in-process
+        per-depth index probes run GIL-free, while the serial backend probes
+        the same shards in-process
         (:class:`repro.core.fanout.SerialShardScatter` — the identity
         oracle).  Results are bit-identical to the unsharded chase either
         way; only the cost profile differs.  Requires interned storage;
         sessions over identity-interner instances warn and fall back to
         the unsharded chase.
     fault_policy:
-        Degradation ladder of the supervised process fan-out pools
-        (:mod:`repro.core.supervision`): ``"recover"`` (the default)
-        respawns a crashed/hung/desynchronised worker in place, replays its
+        What the supervised process pools (:mod:`repro.core.supervision`) do
+        on a fault: ``"recover"`` (the default) respawns a
+        crashed/hung/desynchronised worker in place, replays its
         registration log and re-dispatches only the lost chunk — demoting
-        to the thread backend (coverage) or the unsharded chase
-        (saturation) only when the per-pool ``max_recoveries`` budget runs
-        out; ``"degrade_thread"`` / ``"degrade_serial"`` skip recovery and
-        drop to the thread / serial path on the first fault; ``"raise"``
+        coverage to serial and saturation to the unsharded chase only when
+        the per-pool ``max_recoveries`` budget runs out
+        (``max_recoveries=0`` demotes on the first fault); ``"raise"``
         propagates a :class:`~repro.core.supervision.FanoutFaultError`
         immediately.  Every demotion warns a structured
         :class:`~repro.core.supervision.FanoutFault` carrying the fault
         kind, pool and attempt.  Irrelevant unless
-        ``parallel_backend="process"`` (or ``shard_count > 1`` under it).
+        ``parallel_backend="process"``.
     deadline_policy:
         Per-dispatch timeouts of the supervised pools: base seconds per
         chunk (scaled by ``per_item`` work units, backed off per retry).
@@ -210,7 +201,7 @@ class DLearnConfig:
     compiled_subsumption: bool = True
     vectorized_kernels: bool = True
     n_jobs: int = 1
-    parallel_backend: str = "thread"
+    parallel_backend: str = "serial"
     shard_count: int = 1
     fault_policy: FaultPolicy = FaultPolicy()
     deadline_policy: DeadlinePolicy = DeadlinePolicy()
@@ -236,8 +227,8 @@ class DLearnConfig:
             raise ValueError("min_clause_precision must be in [0, 1]")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.parallel_backend not in ("serial", "thread", "process"):
-            raise ValueError("parallel_backend must be one of 'serial', 'thread', 'process'")
+        if self.parallel_backend not in ("serial", "process"):
+            raise ValueError("parallel_backend must be 'serial' or 'process'")
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if not isinstance(self.fault_policy, FaultPolicy):

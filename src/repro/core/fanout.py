@@ -1,11 +1,12 @@
 """GIL-free process-pool fan-out over the compiled integer plane.
 
-The ``n_jobs`` thread fan-out of :meth:`repro.core.coverage.CoverageEngine.batch_covers`
-contends on the GIL: θ-subsumption search is pure Python bytecode, so worker
-threads serialise on the interpreter and four threads buy roughly nothing.
-Compiled clause forms, however, are flat ints/tuples by design
-(:mod:`repro.logic.compiled`) — exactly the cheap-to-ship shape that lets
-the work leave the process:
+θ-subsumption search is pure Python bytecode, so the coverage checks of
+:meth:`repro.core.coverage.CoverageEngine.batch_covers` only run in parallel
+outside the interpreter: this module's process pools are the only parallel
+plane, and everything else runs on the calling thread
+(``DLearnConfig.parallel_backend`` is ``"serial"`` or ``"process"``).  Compiled clause forms are flat ints/tuples
+by design (:mod:`repro.logic.compiled`) — exactly the cheap-to-ship shape
+that lets the work leave the process:
 
 * each worker process is seeded **once** with the subsumption-checker
   parameters and a read-only snapshot of the session
@@ -21,6 +22,11 @@ the work leave the process:
   current one (:meth:`~repro.logic.compiled.TermInterner.snapshot_flags`);
 * verdicts flow back as ``(work index, bool)`` pairs and merge into the
   engine's session verdict cache.
+
+Pools are owned by :class:`repro.core.session.DatabasePreparation`, which
+memoises one per (worker count, checker parameters, policies) and closes them;
+a :class:`~repro.core.session.LearningSession` attaches the preparation's pool
+to its coverage engine.  A bare engine has no pool and runs serially.
 
 Topology: ``n_jobs`` **single-worker** executors instead of one shared
 ``max_workers=n`` pool.  A single-worker executor is a FIFO queue, which
@@ -453,8 +459,8 @@ class ProcessFanout:
         """Shut the worker processes down; the fan-out is unusable afterwards.
 
         Idempotent, and hard: worker processes are killed, not merely asked
-        to wind down — a close after a fault (the degradation ladder closes
-        demoted pools, healthy siblings included) must not leave a hung
+        to wind down — a close after a fault (demotion closes the faulted
+        pool, healthy siblings included) must not leave a hung
         worker blocking interpreter exit.
         """
         if self._closed:
@@ -748,7 +754,7 @@ class SerialShardScatter:
     Probes the parent-side :class:`~repro.db.sharding.ShardedInstance`
     directly (no processes, no pickling) through exactly the merge path the
     process fan-out gathers with.  This is what ``shard_count > 1`` means
-    under the serial/thread backends, and what the property suite uses to
+    under the serial backend, and what the property suite uses to
     pin scatter/gather ≡ unsharded without paying worker startup per case.
     """
 

@@ -584,7 +584,7 @@ class FrontierChase:
         recovers crashed/hung/desynchronised workers internally; only a
         terminal :class:`~repro.core.supervision.FanoutFaultError` reaches
         here, where the fault policy decides — ``"raise"`` propagates,
-        every other mode closes the plane, detaches it with a structured
+        ``"recover"`` closes the plane, detaches it with a structured
         :class:`~repro.core.supervision.FanoutFault` warning and returns
         ``None`` so the caller falls through to the always-correct unsharded
         path.  A structurally broken *unsupervised* scatter — worker pool

@@ -53,7 +53,7 @@ from .fanout import ProcessFanout, SaturationFanout, SerialShardScatter, checker
 from .generalization import Generalizer
 from .problem import Example, ExampleSet, LearningProblem
 from .saturation import DatabaseProbeCache, FrontierChase, SaturationCache
-from .supervision import DeadlinePolicy, FaultPolicy
+from .supervision import DeadlinePolicy, FanoutFault, FaultPolicy
 
 __all__ = ["DatabasePreparation", "LearningSession"]
 
@@ -317,15 +317,14 @@ class DatabasePreparation:
 
         ``backend == "process"`` builds (and memoises) a
         :class:`~repro.core.fanout.SaturationFanout` — seeded shard worker
-        processes answering each depth's probes GIL-free; any other backend
-        gets the in-process :class:`~repro.core.fanout.SerialShardScatter`
-        over the same shards.  Memoised per (shard count, plane, supervision
+        processes answering each depth's probes GIL-free; ``"serial"`` gets
+        the in-process :class:`~repro.core.fanout.SerialShardScatter` over
+        the same shards.  Memoised per (shard count, plane, supervision
         policies) so folds and prediction sessions share one seeded pool,
         mirroring :meth:`process_fanout`; demoted (closed) planes are
         rebuilt on the next request.
         """
-        kind = "process" if backend == "process" else "serial"
-        key = (shard_count, kind, fault_policy, deadline_policy, chaos)
+        key = (shard_count, backend, fault_policy, deadline_policy, chaos)
         scatter = self._scatters.get(key)
         if scatter is None or scatter._closed:
             sharded = self.sharded_instance(shard_count)
@@ -336,7 +335,7 @@ class DatabasePreparation:
                     deadline_policy=deadline_policy,
                     chaos=ChaosInjector(chaos) if chaos is not None else None,
                 )
-                if kind == "process"
+                if backend == "process"
                 else SerialShardScatter(sharded)
             )
             self._scatters[key] = scatter
@@ -456,7 +455,7 @@ class LearningSession:
             # Share one seeded worker pool across every session over this
             # preparation (folds, prediction); pool creation is lazy-spawning
             # and cheap.  Where worker processes cannot be created at all the
-            # engine falls back to the thread backend on first dispatch.
+            # engine stays serial.
             try:
                 self.engine.attach_fanout(
                     self.preparation.process_fanout(
@@ -467,11 +466,18 @@ class LearningSession:
                         chaos=config.chaos,
                     )
                 )
-            except (OSError, PermissionError, ValueError):
-                pass  # the engine's own _ensure_fanout will warn and fall back
+            except (OSError, PermissionError, ValueError) as error:
+                warnings.warn(
+                    FanoutFault(
+                        f"process fan-out unavailable ({error!r}); coverage runs serially",
+                        kind="seed-failure",
+                        pool=ProcessFanout.pool_name,
+                    ),
+                    stacklevel=2,
+                )
         if config.shard_count > 1 and not serial_saturation:
             # Scatter each chase depth over row-wise shards: worker processes
-            # under the process backend, the in-process shard plane otherwise.
+            # under the process backend, the in-process shard plane under serial.
             # Structural refusals — identity-interner storage, no process
             # spawning — fall back to the (always-correct) unsharded chase.
             try:

@@ -11,9 +11,9 @@ bit-identical results.  This module is the driver for that property:
 * :class:`DeadlinePolicy` — per-dispatch timeouts with exponential backoff,
   so a hung worker is killed and recovered instead of blocking ``fit()``
   forever;
-* :class:`FaultPolicy` — the degradation ladder (``recover`` →
-  ``degrade_thread`` → ``degrade_serial`` → ``raise``) with a per-pool
-  recovery budget, replacing the old one-shot demote-to-threads fallback;
+* :class:`FaultPolicy` — ``recover`` (respawn in place within a per-pool
+  budget, then demote coverage to serial and saturation to the unsharded
+  chase) or ``raise``;
 * :class:`FanoutFault` — a :class:`RuntimeWarning` subclass carrying a
   machine-readable fault taxonomy (``crash`` / ``timeout`` / ``desync`` /
   ``seed-failure``) plus the pool name and attempt number, so callers can
@@ -24,11 +24,11 @@ bit-identical results.  This module is the driver for that property:
   under a deadline, classify faults, recover the owning worker through a
   pool-supplied callback, and resubmit the lost chunk; when the policy or
   the budget says stop, raise a terminal :class:`FanoutFaultError` for the
-  caller's ladder.
+  caller to demote or propagate.
 
 The module is deliberately stdlib-only (no imports from the rest of
 ``repro``): the fan-out classes, the config and the coverage/saturation
-ladders all import *it*.
+fallbacks all import *it*.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ __all__ = [
 #: at all.
 FAULT_KINDS = ("crash", "timeout", "desync", "seed-failure")
 
-#: Degradation-ladder rungs, most to least capable.
-FAULT_MODES = ("recover", "degrade_thread", "degrade_serial", "raise")
+#: Fault-policy modes: recover in place (demoting once the budget is spent),
+#: or raise on the first fault.
+FAULT_MODES = ("recover", "raise")
 
 
 class FanoutFault(RuntimeWarning):
@@ -86,7 +87,7 @@ class FanoutFaultError(RuntimeError):
     """A terminal pool fault: the policy forbids (further) recovery.
 
     Raised by :class:`PoolSupervisor` out of a dispatch; the coverage and
-    saturation callers catch it and walk their degradation ladder.  Carries
+    saturation callers catch it and demote or re-raise per the policy.  Carries
     the same taxonomy fields as :class:`FanoutFault`.
     """
 
@@ -146,17 +147,16 @@ class DeadlinePolicy:
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """The degradation ladder and the per-pool fault budget.
+    """The fault mode and the per-pool recovery budget.
 
-    ``mode`` picks the top rung: ``"recover"`` (the default) respawns and
-    replays faulted workers in place, demoting only when the budget runs
-    out; ``"degrade_thread"`` / ``"degrade_serial"`` skip recovery and drop
-    straight to the thread / serial backend on the first fault;
+    ``"recover"`` (the default) respawns and replays faulted workers in
+    place; once the budget runs out the fault is terminal and the caller
+    demotes — coverage to serial, saturation to the unsharded chase.
     ``"raise"`` propagates a :class:`FanoutFaultError` immediately — no
     recovery, no fallback — for callers that must not mask faults.
     ``max_recoveries`` bounds respawn-and-replay cycles over the pool's
-    lifetime, so a persistently faulting environment degrades instead of
-    thrashing.
+    lifetime, so a persistently faulting environment demotes instead of
+    thrashing; ``max_recoveries=0`` demotes on the first fault.
     """
 
     mode: str = "recover"
@@ -270,7 +270,7 @@ class PoolSupervisor:
     the job's clean retry payload with a backed-off deadline — until the
     :class:`FaultPolicy` budget or the retry bound says the fault is
     terminal, at which point a :class:`FanoutFaultError` propagates to the
-    caller's degradation ladder.  Healthy dispatches are warning-free and
+    caller, which demotes or re-raises.  Healthy dispatches are warning-free and
     touch nothing but the timeout argument.
     """
 

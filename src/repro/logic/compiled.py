@@ -99,9 +99,8 @@ class TermInterner:
     Ids are only meaningful relative to the interner that produced them; two
     compiled clause forms can be matched against each other iff they were
     compiled through the same interner (the checker guards this).  The
-    interner is append-only and thread-safe: the coverage engine's ``n_jobs``
-    fan-out compiles clauses from worker threads against one shared
-    dictionary.
+    interner is append-only and thread-safe: caller threads can share one
+    session, and with it one dictionary.
     """
 
     __slots__ = ("_ids", "_terms", "_is_var", "_lock")
@@ -362,7 +361,7 @@ class CompiledSpecific:
     conn_map: dict[int, tuple[int, ...]]
     has_repairs: bool
     #: Lazily built numpy face of the rows (:class:`repro.logic.kernels.SpecificPlane`);
-    #: pure and derived, so a racing rebuild across worker threads is benign.
+    #: pure and derived, so a racing rebuild across caller threads is benign.
     np_plane: object | None
 
     def witness_mapped(self, assignment: Iterable[int]) -> frozenset[Literal]:
@@ -428,7 +427,7 @@ class ClauseCompiler:
             compiled = self._specific_cache.get(key)
             if compiled is None:
                 compiled = self.compile_specific(prepared)
-                # The compiler is shared across n_jobs worker threads;
+                # Caller threads can share one session and its compiler;
                 # eviction (check, clear, insert) must be atomic.  A racing
                 # duplicate compile is fine — forms are pure — but a clear
                 # interleaving with an insert must not lose the entry.
@@ -507,7 +506,7 @@ class ClauseCompiler:
         compiled.body_entries = tuple(body_entries)
         self._decompose(compiled)
 
-        # See compiled_specific_for: shared across worker threads, so the
+        # See compiled_specific_for: shared across caller threads, so the
         # eviction-and-insert pair must hold the compiler lock.
         with self._lock:
             if len(self._general_cache) >= _COMPILE_CACHE_SIZE:

@@ -82,7 +82,7 @@ class SpecificPlane:
     re-expresses each signature group's candidate rows as indexes into that
     universe, so domain membership is a single fancy-indexed gather.  The
     plane is pure (derived from immutable compiled data), so a lazy build
-    racing across coverage-engine worker threads at worst recomputes it.
+    racing across caller threads sharing a session at worst recomputes it.
     """
 
     __slots__ = ("universe", "local_rows", "n_terms", "rep", "_partners")
@@ -133,7 +133,7 @@ def specific_plane(cs: "CompiledSpecific") -> SpecificPlane:
     """The cached :class:`SpecificPlane` of *cs*, built on first use.
 
     Cached on the compiled form itself (``cs.np_plane``) so every checker and
-    worker thread sharing the session's :class:`ClauseCompiler` shares one
+    caller thread sharing the session's :class:`ClauseCompiler` shares one
     plane per ground clause.
     """
     plane = cs.np_plane

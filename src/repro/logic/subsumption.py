@@ -216,8 +216,8 @@ class SubsumptionChecker:
 
     A single instance is cheap and reusable across many checks, but NOT
     thread-safe: the step-budget counter (``_steps``) lives on the instance,
-    so concurrent searches must each use their own checker (see
-    :meth:`repro.core.coverage.CoverageEngine._thread_checker`).
+    so concurrent searches must each use their own checker (the
+    convenience wrapper keeps one per thread).
 
     Parameters
     ----------
@@ -246,8 +246,8 @@ class SubsumptionChecker:
     compiler:
         The :class:`~repro.logic.compiled.ClauseCompiler` whose term
         dictionary compiled clause forms are expressed in.  Checkers that
-        exchange prepared clauses (e.g. the coverage engine's thread-pool
-        clones) must share one compiler; omitted, a private one is created
+        exchange prepared clauses (e.g. the checkers of sessions over one
+        database preparation) must share one compiler; omitted, a private one is created
         on first compiled use.
     vectorized_kernels:
         Run the arc-consistency unsat certificate (:mod:`repro.logic.kernels`)
@@ -1133,8 +1133,8 @@ def _condition_key_set(condition: Condition) -> frozenset[tuple[str, frozenset[T
 
 #: Default checkers for the convenience wrapper are per-thread: a checker's
 #: step-budget counter is instance state, so one shared module-level instance
-#: would race under the coverage engine's ``n_jobs`` thread fan-out (one
-#: thread's long search could exhaust — or reset — another's budget).
+#: would race when several caller threads check at once (one thread's long
+#: search could exhaust — or reset — another's budget).
 _DEFAULT_CHECKERS = threading.local()
 
 

@@ -3,7 +3,7 @@
 The batched path (``batch_covers`` / ``covered_counts`` /
 ``batch_predicts_positive``) must return exactly the verdicts of the serial
 reference path (``covers_serial``) for every (clause, example) pair, with and
-without the thread-pool fan-out, and the engine's clause-level caches must
+without the process-pool fan-out, and the engine's clause-level caches must
 behave like caches (identity on repeat, cleared by ``clear_cache``).
 
 The Hypothesis section at the bottom widens the check beyond hand-picked
@@ -21,7 +21,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.constraints import ConditionalFunctionalDependency, MatchingDependency
-from repro.core import BottomClauseBuilder, CoverageEngine, DLearnConfig, Example, ExampleSet, LearningProblem
+from repro.core import (
+    BottomClauseBuilder,
+    CoverageEngine,
+    DLearnConfig,
+    Example,
+    ExampleSet,
+    LearningProblem,
+    LearningSession,
+)
 from repro.db import AttributeType, DatabaseInstance, DatabaseSchema, RelationSchema, Sampler
 from repro.logic import Constant, HornClause, Variable, relation_literal, theta_subsumes
 from repro.logic.subsumption import PreparedGeneral, SubsumptionChecker
@@ -89,11 +97,16 @@ class TestBatchedMatchesSerial:
                 clause, positives, negatives
             )
 
-    def test_thread_fanout_matches_serial(self, dirty_movie_problem, fast_config):
-        parallel_engine = make_engine(dirty_movie_problem, fast_config.but(n_jobs=2))
-        for clause in candidate_clauses(parallel_engine):
-            serial = [parallel_engine.covers_serial(clause, example) for example in ALL_EXAMPLES]
-            assert parallel_engine.batch_covers(clause, ALL_EXAMPLES) == serial
+    def test_process_fanout_matches_serial(self, dirty_movie_problem, fast_config):
+        session = LearningSession(dirty_movie_problem, fast_config.but(parallel_backend="process", n_jobs=2))
+        try:
+            parallel_engine = session.engine
+            assert parallel_engine._fanout is not None
+            for clause in candidate_clauses(parallel_engine):
+                serial = [parallel_engine.covers_serial(clause, example) for example in ALL_EXAMPLES]
+                assert parallel_engine.batch_covers(clause, ALL_EXAMPLES) == serial
+        finally:
+            session.preparation.close()
 
     def test_batch_predicts_positive_matches_pointwise(self, engine):
         clauses = candidate_clauses(engine)[:2]

@@ -9,8 +9,8 @@ definitions are exactly what a fault-free run produces.  Every test here
 drives a real process pool through :mod:`repro.testing.chaos` and compares
 against the serial oracle.
 
-The degradation ladder (``recover`` → ``degrade_thread`` →
-``degrade_serial`` → ``raise``) and the demotion-closes-the-pool leak fix
+The fault policy (``recover``, demoting to serial / the unsharded chase once
+the budget is spent, or ``raise``) and the demotion-closes-the-pool leak fix
 are pinned at the coverage and saturation integration points; spawn
 start-method coverage keeps the recovery path honest under the pickle-everything
 regime CI's Linux ``fork`` default never exercises.
@@ -186,7 +186,7 @@ class TestFitUnderChaos:
 
 
 # --------------------------------------------------------------------- #
-# the degradation ladder at the coverage integration point
+# the fault policy at the coverage integration point
 # --------------------------------------------------------------------- #
 class TestCoverageLadder:
     def _faulting_config(self, fast_config, **policy) -> DLearnConfig:
@@ -212,44 +212,6 @@ class TestCoverageLadder:
         finally:
             session.preparation.close()
 
-    @pytest.mark.parametrize("mode", ["degrade_thread", "degrade_serial"])
-    def test_degrade_modes_demote_with_a_structured_warning(
-        self, movie_problem, fast_config, mode
-    ):
-        oracle = _serial_oracle(movie_problem, fast_config)
-        config = self._faulting_config(fast_config, mode=mode)
-        session = LearningSession(movie_problem, config)
-        try:
-            fanout = session.engine._fanout
-            assert fanout is not None
-            with pytest.warns(FanoutFault, match="falling back") as captured:
-                verdicts, = [
-                    [
-                        tuple(session.engine.batch_covers(clause, movie_problem.examples.all()))
-                        for clause in [
-                            session.builder.build(seed, ground=False)
-                            .prune_disconnected()
-                            .prune_dangling_restrictions()
-                            for seed in list(movie_problem.examples.positives)[:2]
-                        ]
-                    ]
-                ]
-            assert verdicts == oracle
-            # The leak fix: the demoted pool — attached, with a healthy
-            # sibling worker — is closed, not abandoned.
-            assert fanout._closed
-            assert session.engine._fanout is None
-            rung = "serial backend" if mode == "degrade_serial" else "thread backend"
-            demotions = [
-                w.message for w in captured.list
-                if isinstance(w.message, FanoutFault) and "demoted" in str(w.message)
-            ]
-            assert demotions and rung in str(demotions[0])
-            assert demotions[0].kind == "crash"
-            assert session.fault_stats()["coverage"]["demotions"] == 1
-        finally:
-            session.preparation.close()
-
     def test_exhausted_recovery_budget_demotes(self, movie_problem, fast_config):
         oracle = _serial_oracle(movie_problem, fast_config)
         config = fast_config.but(
@@ -259,17 +221,27 @@ class TestCoverageLadder:
             chaos=ChaosSpec(kill_at=(0,)),
             fault_policy=FaultPolicy(mode="recover", max_recoveries=0),
         )
-        with pytest.warns(FanoutFault, match="falling back"):
+        with pytest.warns(FanoutFault, match="falling back") as captured:
             verdicts, session = _coverage_run(movie_problem, config)
         try:
             assert verdicts == oracle
             stats = session.fault_stats()["coverage"]
             assert stats["recoveries"] == 0 and stats["demotions"] == 1
+            # The leak fix: the demoted pool — attached, with a healthy
+            # sibling worker — is closed and detached, not abandoned.
+            assert session.engine._fanout is None
+            demotions = [
+                w.message for w in captured.list
+                if isinstance(w.message, FanoutFault) and "demoted" in str(w.message)
+            ]
+            assert len(demotions) == 1
+            assert demotions[0].kind == "crash"
+            assert "serial coverage" in str(demotions[0])
         finally:
             session.preparation.close()
 
     def test_preparation_rebuilds_a_demoted_pool_on_demand(self, movie_problem, fast_config):
-        config = self._faulting_config(fast_config, mode="degrade_thread")
+        config = self._faulting_config(fast_config, mode="recover", max_recoveries=0)
         session = LearningSession(movie_problem, config)
         try:
             broken = session.engine._fanout
@@ -293,7 +265,7 @@ class TestCoverageLadder:
 
 
 # --------------------------------------------------------------------- #
-# saturation plane: shard scatter chaos and its ladder
+# saturation plane: shard scatter chaos and its fault policy
 # --------------------------------------------------------------------- #
 def _make_chase(problem, config) -> FrontierChase:
     indexes = problem.build_similarity_indexes(

@@ -3,8 +3,8 @@
 Each test pins one concrete fix from the first lint run over the codebase:
 
 * TS01 (thread-safety): the coverage engine's verdict cache and the clause
-  compiler's form caches are written from ``batch_covers`` worker threads,
-  so their eviction-and-insert sequences must hold the owning lock.
+  compiler's form caches are written from every caller thread sharing a
+  session, so their eviction-and-insert sequences must hold the owning lock.
 * DT01 (determinism): set iteration order is hash order — randomised across
   processes for strings — so sets feeding ordered structures (similarity
   match lists, capped variant expansions, column value lists) must be

@@ -12,9 +12,10 @@ whole correctness story reduces to three invariants, each pinned here:
   clauses compiled mid-fit intern fresh terms) reaches workers as
   ``snapshot_flags`` deltas, never as a desynchronised view;
 * **backend identity** — ``batch_covers`` verdicts are equal across
-  ``serial``/``thread``/``process`` on a real learning session, and the
-  process backend degrades to threads loudly (a ``RuntimeWarning``) when
-  workers cannot be spawned.
+  ``serial``/``process`` on a real learning session, and the process
+  backend stays serial loudly (one ``seed-failure``
+  :class:`~repro.core.supervision.FanoutFault`) when workers cannot be
+  spawned.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DLearnConfig
-from repro.core.coverage import _chunk_size
 from repro.core.fanout import ProcessFanout, _START_METHOD_ENV, checker_params
 from repro.core.session import LearningSession
+from repro.core.supervision import FanoutFault
 from repro.data.registry import generate
 from repro.data.synthetic import ScenarioSpec
 from repro.logic import (
@@ -60,24 +61,18 @@ X, Y = Variable("x"), Variable("y")
 # --------------------------------------------------------------------- #
 # plumbing units
 # --------------------------------------------------------------------- #
-class TestChunkSize:
-    def test_roughly_four_chunks_per_worker(self):
-        assert _chunk_size(160, 4) == 10
-        assert _chunk_size(30, 2) == 3
-
-    def test_small_batches_never_chunk_to_zero(self):
-        assert _chunk_size(3, 4) == 1
-        assert _chunk_size(1, 1) == 1
-
-
 class TestBackendConfig:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            DLearnConfig(parallel_backend="gevent")
+        for backend in ("gevent", "thread"):
+            with pytest.raises(ValueError, match="parallel_backend"):
+                DLearnConfig(parallel_backend=backend)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_accepts_the_three_backends(self, backend):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_accepts_the_two_backends(self, backend):
         assert DLearnConfig(parallel_backend=backend).parallel_backend == backend
+
+    def test_default_backend_is_serial(self):
+        assert DLearnConfig().parallel_backend == "serial"
 
 
 class TestInternerView:
@@ -367,11 +362,9 @@ def _backend_verdicts(dataset, backend: str, jobs: int) -> list[tuple[bool, ...]
 
 
 class TestBackendIdentity:
-    def test_process_equals_thread_equals_serial(self, dataset, recwarn):
+    def test_process_equals_serial(self, dataset, recwarn):
         serial = _backend_verdicts(dataset, "serial", 1)
-        thread = _backend_verdicts(dataset, "thread", 2)
         process = _backend_verdicts(dataset, "process", 2)
-        assert serial == thread
         assert serial == process
         # The process path must have run for real — no silent fallback.
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
@@ -384,11 +377,13 @@ class TestBackendIdentity:
         assert session.engine.batch_covers(clause, examples)
         assert session.engine._fanout is None  # no pool was ever spawned
 
-    def test_unspawnable_workers_fall_back_to_threads_loudly(self, dataset, monkeypatch):
+    def test_unspawnable_workers_fall_back_to_serial_loudly(self, dataset, monkeypatch):
         monkeypatch.setenv(_START_METHOD_ENV, "not-a-start-method")
         serial = _backend_verdicts(dataset, "serial", 1)
-        with pytest.warns(RuntimeWarning, match="fall"):
+        with pytest.warns(FanoutFault) as captured:
             degraded = _backend_verdicts(dataset, "process", 2)
+        faults = [w.message for w in captured.list if isinstance(w.message, FanoutFault)]
+        assert [(fault.kind, fault.pool) for fault in faults] == [("seed-failure", "coverage")]
         assert degraded == serial
 
     def test_process_pool_start_method_override_is_honoured(self, monkeypatch):

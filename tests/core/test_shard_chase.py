@@ -134,8 +134,8 @@ class TestSessionWiring:
         scatter = preparation.shard_scatter(2, "serial")
         assert preparation.shard_scatter(2, "serial") is scatter
         assert preparation.shard_scatter(3, "serial") is not scatter
-        # thread backend shares the in-process plane
-        assert preparation.shard_scatter(2, "thread") is scatter
+        # the serial backend shares the in-process plane
+        assert preparation.shard_scatter(2, "serial") is scatter
         scatter.close()
         replacement = preparation.shard_scatter(2, "serial")
         assert replacement is not scatter

@@ -73,15 +73,16 @@ class TestDeadlinePolicy:
 class TestFaultPolicy:
     def test_default_mode_recovers(self):
         assert FaultPolicy().recovers
-        assert not FaultPolicy(mode="degrade_thread").recovers
+        assert not FaultPolicy(mode="raise").recovers
 
-    @pytest.mark.parametrize("mode", ["recover", "degrade_thread", "degrade_serial", "raise"])
+    @pytest.mark.parametrize("mode", ["recover", "raise"])
     def test_every_ladder_rung_is_accepted(self, mode):
         assert FaultPolicy(mode=mode).mode == mode
 
     def test_unknown_mode_and_negative_budget_are_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            FaultPolicy(mode="explode")
+        for mode in ("explode", "degrade_thread", "degrade_serial"):
+            with pytest.raises(ValueError, match="mode"):
+                FaultPolicy(mode=mode)
         with pytest.raises(ValueError, match="max_recoveries"):
             FaultPolicy(max_recoveries=-1)
 
@@ -214,7 +215,7 @@ class TestPoolSupervisor:
                 supervisor.run(_jobs(1), pool.submit, pool.recover)
         assert supervisor.counters.recoveries == 1  # the budget, exactly
 
-    @pytest.mark.parametrize("mode", ["degrade_thread", "degrade_serial", "raise"])
+    @pytest.mark.parametrize("mode", ["raise"])
     def test_non_recovering_modes_escalate_on_first_fault(self, mode):
         pool = _FlakyPool(fail_first=1)
         supervisor = PoolSupervisor("coverage", fault_policy=FaultPolicy(mode=mode))
@@ -222,6 +223,16 @@ class TestPoolSupervisor:
             supervisor.run(_jobs(1), pool.submit, pool.recover)
         assert excinfo.value.attempt == 1
         assert not pool.recovered  # escalation must not thrash the pool first
+
+    def test_zero_recovery_budget_escalates_on_first_fault(self):
+        pool = _FlakyPool(fail_first=1)
+        supervisor = PoolSupervisor(
+            "coverage", fault_policy=FaultPolicy(mode="recover", max_recoveries=0)
+        )
+        with pytest.raises(FanoutFaultError) as excinfo:
+            supervisor.run(_jobs(1), pool.submit, pool.recover)
+        assert excinfo.value.attempt == 1
+        assert not pool.recovered
 
     def test_failed_recovery_is_a_terminal_seed_failure(self):
         pool = _FlakyPool(fail_first=1, recover_raises=OSError("no more processes"))

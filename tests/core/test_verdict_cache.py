@@ -5,9 +5,9 @@ example set round after round; the verdict cache must serve settled
 (candidate, ground clause, label semantics) triples without re-proving them,
 must key the two label semantics separately, and must reset with
 ``clear_cache``.  The wiring tests pin the session-level sharing contracts:
-one :class:`~repro.logic.compiled.ClauseCompiler` per engine, shared with the
-``n_jobs`` thread-pool checkers, and the ``compiled_subsumption`` config
-switch routing the whole engine through the reference checker.
+one :class:`~repro.logic.compiled.ClauseCompiler` per engine and its checker,
+and the ``compiled_subsumption`` config switch routing the whole engine
+through the reference checker.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class TestVerdictCache:
         proofs = []
         original = engine._prove_ground
 
-        def counting(checker, general, ground, *, positive):
+        def counting(general, ground, *, positive):
             proofs.append((general.clause, ground.clause, positive))
-            return original(checker, general, ground, positive=positive)
+            return original(general, ground, positive=positive)
 
         monkeypatch.setattr(engine, "_prove_ground", counting)
         first = engine.batch_covers(candidate, [POS_M1, POS_M2, NEG_M3])
@@ -82,18 +82,11 @@ class TestVerdictCache:
 
 
 class TestCompiledWiring:
-    def test_engine_provisions_one_compiler_for_all_checkers(self, engine):
-        assert engine.compiler is engine.checker.compiler
-        assert engine._thread_checker().compiler is engine.compiler
-
-    def test_thread_checker_inherits_compiled_mode(self, movie_problem, fast_config):
-        engine = make_engine(movie_problem, fast_config.but(compiled_subsumption=False))
-        assert not engine.checker.use_compiled
-        assert not engine._thread_checker().use_compiled
-
     def test_reference_mode_produces_identical_verdicts(self, movie_problem, fast_config):
         compiled_engine = make_engine(movie_problem, fast_config)
         reference_engine = make_engine(movie_problem, fast_config.but(compiled_subsumption=False))
+        assert compiled_engine.compiler is compiled_engine.checker.compiler
+        assert not reference_engine.checker.use_compiled
         examples = [POS_M1, POS_M2, NEG_M3]
         candidate = compiled_engine.builder.build(POS_M1, ground=False)
         assert compiled_engine.batch_covers(candidate, examples) == reference_engine.batch_covers(

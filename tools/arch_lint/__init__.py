@@ -2,7 +2,7 @@
 
 PRs 4-5 moved the system onto a dense-integer plane (value ids in the
 storage core, term ids in the compiled subsumption engine) and onto shared
-sessions with ``n_jobs`` thread fan-out.  The bug classes that now threaten
+sessions that several caller threads may drive.  The bug classes that now threaten
 correctness are exactly the ones a test suite cannot exhaustively catch:
 
 * **id/value mixing** — passing a decoded value where a dense id is
@@ -10,7 +10,7 @@ correctness are exactly the ones a test suite cannot exhaustively catch:
 * **nondeterministic iteration** — set iteration order feeding an
   ordering-sensitive structure makes learned definitions run-dependent;
 * **unsynchronized shared-state writes** — session objects are shared
-  across worker threads, so post-``__init__`` writes outside a lock are
+  across caller threads, so post-``__init__`` writes outside a lock are
   data races waiting for free-threaded Python;
 * **cache hygiene** — mutable default arguments and identity-keyed or
   unhashable cache keys corrupt the memoisation layers.

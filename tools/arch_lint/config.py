@@ -79,8 +79,8 @@ _SET_RETURNING = (
     "repair_literals_connected_to",
 )
 
-#: Session-scoped classes shared across ``n_jobs`` worker threads (or across
-#: folds/prediction sessions): attribute/container writes outside
+#: Session-scoped classes shared across caller threads driving one session
+#: (or across folds/prediction sessions): attribute/container writes outside
 #: ``__init__`` must be lock-guarded or explicitly allowlisted.
 _SHARED_CLASSES = (
     "CoverageEngine",

@@ -21,8 +21,8 @@ variables traceably bound to one; ``submit``/``map`` through either):
   contains ``"lock"``), an inline ``open(...)`` / ``Lock()``-family call, a
   name bound to one, or a lambda.
 
-Thread pools are exempt: nothing is pickled there, and closures over engine
-state are the thread backend's sanctioned idiom.  The receiver analysis is
+Thread pools are exempt: nothing is pickled there, so closures over engine
+state are harmless.  The receiver analysis is
 deliberately local — only executors *visibly* constructed from a configured
 factory in the same module are treated as process pools, so the rule never
 guesses about objects that merely look pool-shaped.

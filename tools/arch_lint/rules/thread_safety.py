@@ -1,8 +1,8 @@
 """Thread-safety: shared session state is written under a lock, or not at all.
 
-``CoverageEngine.batch_covers`` fans per-example checks across a thread pool,
-and ``DatabasePreparation`` / ``ClauseCompiler`` / ``TermInterner`` instances
-are shared across folds and prediction sessions.  On today's GIL these races
+Several caller threads may drive one session, and ``DatabasePreparation`` /
+``ClauseCompiler`` / ``TermInterner`` instances are shared across folds and
+prediction sessions.  On today's GIL these races
 mostly lose updates silently; on free-threaded Python they corrupt dicts.
 The invariant: for the configured shared classes, any write to ``self``
 state outside ``__init__`` must be lock-guarded or appear in the per-class
@@ -20,7 +20,7 @@ when they occur outside the configured init methods, outside any
 ``with self.<lock>`` block (a lock is an attribute whose name is in
 ``lock_names`` or contains ``"lock"``), and outside allowlisted methods.
 
-Writes to nested attributes (``self._thread_state.checker = ...``) are not
+Writes to nested attributes (``self._local.checker = ...``) are not
 flagged: thread-local and other deliberately per-thread carriers are the
 sanctioned pattern for unshared state.
 """
