@@ -149,7 +149,10 @@ class DLearnConfig:
         propagates a :class:`~repro.core.supervision.FanoutFaultError`
         immediately.  Every demotion warns a structured
         :class:`~repro.core.supervision.FanoutFault` carrying the fault
-        kind, pool and attempt.  Irrelevant unless
+        kind, pool and attempt.  The session hands this policy to the pools
+        it builds, and each pool decides raise-or-demote from its own
+        policy (:meth:`repro.core.fanout.SupervisedPool.retire`); the
+        coverage engine and the chase never read it.  Irrelevant unless
         ``parallel_backend="process"``.
     deadline_policy:
         Per-dispatch timeouts of the supervised pools: base seconds per

@@ -53,7 +53,6 @@ plane once per session.
 from __future__ import annotations
 
 import threading
-import warnings
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -65,7 +64,7 @@ from .config import DLearnConfig
 from .fanout import ProcessFanout
 from .problem import Example
 from .repair_literals import repaired_clauses
-from .supervision import FanoutFault, FanoutFaultError, FaultCounters
+from .supervision import FanoutFaultError, FaultCounters
 
 __all__ = ["CoverageEngine"]
 
@@ -366,23 +365,12 @@ class CoverageEngine:
                 self._fanout_ground_bundle,
             )
         except FanoutFaultError as fault:
-            # Terminal under the policy: the supervisor already recovered
-            # what the budget allowed.  Retire the pool (broken worker and
-            # healthy siblings both — the preparation rebuilds closed pools
-            # on demand), then raise or continue serially.
-            self._retire_fanout(fanout)
-            if self.config.fault_policy.mode == "raise":
-                raise
-            warnings.warn(
-                FanoutFault(
-                    f"process fan-out demoted after a terminal {fault.kind} fault "
-                    f"({fault}); falling back to serial coverage",
-                    kind=fault.kind,
-                    pool=fault.pool or ProcessFanout.pool_name,
-                    attempt=fault.attempt,
-                ),
-                stacklevel=3,
-            )
+            # Terminal: the supervisor already recovered what the budget
+            # allowed.  Detach the pool; retiring it closes it and raises
+            # or demotes under its own policy.
+            with self._verdict_lock:
+                self._fanout = None
+            fanout.retire(fault, "serial coverage")
             return self._serial_batch(general, examples, grounds)
         settled = [(key, verdict) for (_, _, key), verdict in zip(pending, verdicts)]
         self._remember(settled)
@@ -548,9 +536,10 @@ class CoverageEngine:
         The fan-out must have been built over this engine's compiler interner
         (:meth:`repro.core.session.DatabasePreparation.process_fanout`
         guarantees it).  In healthy operation its lifecycle stays with the
-        preparation; on a terminal fault the engine *does* close it (see
-        :meth:`_retire_fanout`) — a demoted pool is unusable either way and
-        the preparation rebuilds closed pools on demand.
+        preparation; on a terminal fault the engine detaches it and
+        :meth:`~repro.core.fanout.SupervisedPool.retire` closes it — a
+        demoted pool is unusable either way and the preparation rebuilds
+        closed pools on demand.
         """
         with self._verdict_lock:
             self._fanout = fanout
@@ -564,13 +553,6 @@ class CoverageEngine:
         session can report what its (now closed) pool went through.
         """
         return self._fault_counters
-
-    def _retire_fanout(self, fanout: ProcessFanout) -> None:
-        """Drop a terminally faulted pool: close every worker, record the demotion."""
-        with self._verdict_lock:
-            self._fanout = None
-        fanout.supervisor.counters.demotions += 1
-        fanout.close()
 
     def _fanout_general_bundle(self, general: PreparedGeneral) -> tuple:
         """Wire bundle of a candidate clause: main + (for CFD clauses) MD/variant forms.

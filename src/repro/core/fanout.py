@@ -1,70 +1,52 @@
-"""GIL-free process-pool fan-out over the compiled integer plane.
+"""GIL-free process-pool fan-out: one supervised pool core, two protocols.
 
-θ-subsumption search is pure Python bytecode, so the coverage checks of
-:meth:`repro.core.coverage.CoverageEngine.batch_covers` only run in parallel
-outside the interpreter: this module's process pools are the only parallel
-plane, and everything else runs on the calling thread
-(``DLearnConfig.parallel_backend`` is ``"serial"`` or ``"process"``).  Compiled clause forms are flat ints/tuples
-by design (:mod:`repro.logic.compiled`) — exactly the cheap-to-ship shape
-that lets the work leave the process:
+θ-subsumption search and the chase are pure Python bytecode, so they only
+run in parallel outside the interpreter: these process pools are the only
+parallel plane (``DLearnConfig.parallel_backend`` is ``"serial"`` or
+``"process"``).  :class:`SupervisedPool` is the lifecycle core both pools
+share — ``n`` single-worker executors seeded by a module-level initializer,
+the :class:`~repro.core.supervision.PoolSupervisor`, the chaos injector,
+the interner watermarks, ``warm``/``close``, and the one terminal-fault
+decision, :meth:`SupervisedPool.retire`.  Two protocols sit on it:
 
-* each worker process is seeded **once** with the subsumption-checker
-  parameters and a read-only snapshot of the session
-  :class:`~repro.logic.compiled.TermInterner`'s *is-var* flag plane
+* **coverage** (:class:`ProcessFanout`) proves the checks of
+  :meth:`repro.core.coverage.CoverageEngine.batch_covers`.  Each worker is
+  seeded once with the checker parameters and a snapshot of the session
+  :class:`~repro.logic.compiled.TermInterner`'s *is-var* flags
   (:class:`~repro.logic.compiled.InternerView` — verdicts never need the
-  boxed terms, only the flags);
-* a dispatched clause form crosses the process boundary exactly once, as a
-  wire tuple (:func:`~repro.logic.compiled.general_to_wire` /
-  :func:`~repro.logic.compiled.specific_to_wire`), and is registered in the
-  worker under a small integer handle; later dispatches ship only handles;
-* the interner is append-only, so each dispatch carries at most a
-  *delta* — the flag suffix between the worker's watermark and the parent's
-  current one (:meth:`~repro.logic.compiled.TermInterner.snapshot_flags`);
-* verdicts flow back as ``(work index, bool)`` pairs and merge into the
-  engine's session verdict cache.
+  boxed terms).  A compiled clause form crosses the boundary exactly once,
+  as a flat wire tuple (:func:`~repro.logic.compiled.general_to_wire` /
+  :func:`~repro.logic.compiled.specific_to_wire`) registered under an
+  integer handle; later dispatches ship handles plus the interner flag
+  *delta* above the worker's watermark.  Verdicts merge into the engine's
+  session verdict cache.
+* **shard** (:class:`SaturationFanout`) answers the per-depth id-frontier
+  probes of :meth:`repro.core.saturation.FrontierChase.relevant_many`.
+  Each worker owns one row-wise shard of every relation
+  (:mod:`repro.db.sharding`) and probes its insert-time indexes; shards
+  cross once as byte wire forms, later dispatches carry flag deltas,
+  row-append deltas and the frontier.
 
-Pools are owned by :class:`repro.core.session.DatabasePreparation`, which
-memoises one per (worker count, checker parameters, policies) and closes them;
-a :class:`~repro.core.session.LearningSession` attaches the preparation's pool
-to its coverage engine.  A bare engine has no pool and runs serially.
+:class:`repro.core.session.DatabasePreparation` owns the pools (memoised,
+rebuilt when closed) and a :class:`~repro.core.session.LearningSession`
+attaches them; a bare engine or chase runs serially.  A single-worker
+executor is a FIFO queue, which gives both protocols their one ordering
+guarantee for free — a task that registers a handle (or applies a row
+delta) runs before any task that uses it.  Coverage grounds are routed to a
+fixed worker on first sight, so each example's prepared form ships once.
 
-Topology: ``n_jobs`` **single-worker** executors instead of one shared
-``max_workers=n`` pool.  A single-worker executor is a FIFO queue, which
-gives the one ordering guarantee the protocol needs for free — a task that
-registers a handle runs before any task that references it — and makes
-worker-local state (the handle registries, the interner view watermark)
-deterministic.  Ground clauses are routed to a fixed worker on first sight
-(round-robin), so each example's (large) prepared form is shipped and held
-exactly once across the pool; candidate generals are shipped on demand to
-the workers whose grounds they meet.
+Parity: coverage workers run the parent's staged search
+(:meth:`~repro.logic.subsumption.SubsumptionChecker.subsumes_pair`) through
+:func:`_bundle_verdict`, which mirrors ``CoverageEngine._prove_ground``
+branch for branch, and the shard gather uses order-exact merges, so
+verdicts, relevant tuples and learned definitions are bit-identical to the
+serial path (``benchmarks/bench_parallel_fanout.py``,
+``benchmarks/bench_shard_scale.py`` and the property suites assert it).
 
-Verdict parity: a worker proves the same staged search the parent engine
-proves (:meth:`~repro.logic.subsumption.SubsumptionChecker.subsumes_pair`
-runs the probe valve, certificate sweep, pruned retry and connectivity
-retry of ``subsumes``), and the coverage pipeline over the shipped bundles
-(:func:`_bundle_verdict`) mirrors ``CoverageEngine._prove_ground`` branch
-for branch — so verdicts, and everything downstream of them (retained
-lists, learned definitions, predictions), are bit-identical to the serial
-path.  ``benchmarks/bench_parallel_fanout.py`` and the property suites
-assert this.
-
-Start method: ``fork`` where the platform offers it (no re-import cost,
-instant spawn), else ``spawn``; override with the
-``REPRO_FANOUT_START_METHOD`` environment variable (``fork`` /
-``forkserver`` / ``spawn``).  Workers hold no parent locks — the seeded
-view is rebuilt from plain bytes — so forking a session mid-fit is safe.
-
-This module also hosts the **saturation scatter/gather**
-(:class:`SaturationFanout`): the same seeded-worker topology pointed at the
-chase instead of coverage.  Each worker owns one row-wise shard of every
-relation (:mod:`repro.db.sharding`) and answers the per-depth id-frontier
-probes of :meth:`repro.core.saturation.FrontierChase.relevant_many` locally
-against its shard's insert-time indexes; the parent merges the disjoint
-per-shard answers into exactly the probe tables the unsharded prefetch
-builds, so everything downstream — dedup on canonical rows, state updates,
-learned definitions — is bit-identical to the serial chase.  Shards cross
-the boundary once as byte wire forms; later dispatches carry interner flag
-deltas, row-append deltas, and the frontier.
+Start method: ``fork`` where available, else ``spawn``; override with
+``REPRO_FANOUT_START_METHOD`` (``fork`` / ``forkserver`` / ``spawn``).
+Workers hold no parent locks — seeded views are rebuilt from plain bytes —
+so forking a session mid-fit is safe.
 """
 
 from __future__ import annotations
@@ -73,6 +55,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
@@ -85,9 +68,11 @@ from ..logic.compiled import (
     specific_from_wire,
 )
 from ..logic.subsumption import SubsumptionChecker
-from ..testing.chaos import CORRUPT_WIRE, ChaosInjector, chaos_from_env
+from ..testing.chaos import CORRUPT_WIRE, ChaosInjector, ChunkFaults, chaos_from_env
 from .supervision import (
     DeadlinePolicy,
+    FanoutFault,
+    FanoutFaultError,
     FaultPolicy,
     PoolSupervisor,
     WorkerJob,
@@ -97,10 +82,19 @@ from .supervision import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..logic.subsumption import PreparedClause, PreparedGeneral
 
-__all__ = ["ProcessFanout", "SaturationFanout", "SerialShardScatter", "checker_params"]
+__all__ = [
+    "ProcessFanout",
+    "SaturationFanout",
+    "SerialShardScatter",
+    "SupervisedPool",
+    "checker_params",
+]
 
 #: Environment override for the multiprocessing start method.
 _START_METHOD_ENV = "REPRO_FANOUT_START_METHOD"
+
+#: The chaos decision of a chunk on a pool without an injector.
+_NO_FAULTS = ChunkFaults()
 
 #: A shipped coverage bundle: ``(main, md, variants, has_cfd)`` where the
 #: entries are wire forms.  ``md is None`` means the MD projection *is* the
@@ -136,7 +130,7 @@ def _start_method() -> str:
 
 
 # --------------------------------------------------------------------------- #
-# worker side
+# coverage protocol: worker side
 # --------------------------------------------------------------------------- #
 # Module-level state, seeded once per worker process by the executor
 # initializer.  Everything submitted to the pool is a module-level function
@@ -241,34 +235,164 @@ def _run_chunk(task: tuple) -> list[tuple[int, bool]]:
 
 
 # --------------------------------------------------------------------------- #
-# parent side
+# parent side: the supervised pool core
 # --------------------------------------------------------------------------- #
-class ProcessFanout:
-    """A pool of seeded worker processes proving coverage pairs.
+class SupervisedPool:
+    """The worker-pool lifecycle both fan-out protocols share.
 
-    Owns ``n_jobs`` single-worker executors plus the parent-side shipping
-    state: clause → handle maps, per-worker shipped-handle sets and interner
-    watermarks, and the ground → worker routing table.  Not thread-safe —
-    one dispatch at a time, from the thread driving the batch (the engine's
-    batched entry points already run on the calling thread).
-
-    The pool is cheap to create (worker processes spawn lazily on first
-    dispatch) and safe to share across engines and sessions that compile
-    through the same :class:`~repro.logic.compiled.ClauseCompiler`
-    (:meth:`repro.core.session.DatabasePreparation.process_fanout` memoises
-    exactly that sharing).
-
-    Dispatches run supervised (:class:`~repro.core.supervision.PoolSupervisor`):
-    every await carries a :class:`~repro.core.supervision.DeadlinePolicy`
-    timeout, and a crashed, hung or desynchronised worker is killed,
-    respawned from the current interner snapshot, its registration log
-    replayed from the retained wire bundles (:meth:`_recover_worker`), and
-    only the lost chunk re-dispatched.  Routing (:attr:`_route`) survives
-    recovery untouched, so verdict identity is preserved by construction.
+    Owns the single-worker executors, the supervisor, the chaos injector and
+    the interner watermarks: :meth:`run` dispatches under supervision,
+    :meth:`_respawn` recovers a faulted worker and :meth:`retire` is the one
+    terminal-fault decision.  A protocol names its module-level (PF01
+    picklable) ``_initializer``, ``_task`` and no-op ``_idle_payload`` and
+    implements :meth:`_snapshot` (interner flags above a watermark),
+    :meth:`_initargs` (one worker's seed) and :meth:`_reanchor` (re-sync the
+    shipping state with a fresh seed); what those hooks read must be set
+    before ``__init__`` seeds the workers.  Not thread-safe — one dispatch
+    at a time, from the thread driving it.
     """
 
     #: Pool name in fault taxonomy warnings and session fault counters.
+    pool_name = ""
+    _initializer: Callable[..., None]
+    _task: Callable[[tuple], Any]
+    _idle_payload: tuple
+
+    def __init__(
+        self,
+        n_workers: int,
+        *,
+        start_method: str | None = None,
+        fault_policy: FaultPolicy | None = None,
+        deadline_policy: DeadlinePolicy | None = None,
+        chaos: ChaosInjector | None = None,
+    ) -> None:
+        self._context = multiprocessing.get_context(start_method or _start_method())
+        self.supervisor = PoolSupervisor(
+            self.pool_name, fault_policy=fault_policy, deadline_policy=deadline_policy
+        )
+        self._chaos = chaos if chaos is not None else chaos_from_env()
+        snapshot = self._snapshot(0)
+        self._workers = [self._new_worker(worker, snapshot) for worker in range(n_workers)]
+        self._watermarks = [snapshot[1]] * n_workers
+        self._closed = False
+
+    def _snapshot(self, watermark: int) -> tuple[int, int, bytes]:
+        raise NotImplementedError
+
+    def _initargs(self, worker: int, snapshot: tuple[int, int, bytes]) -> tuple:
+        raise NotImplementedError
+
+    def _reanchor(self, worker: int) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` ran; a closed pool refuses every dispatch."""
+        return self._closed
+
+    def _new_worker(self, worker: int, snapshot: tuple[int, int, bytes]) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=self._context,
+            initializer=self._initializer,
+            initargs=self._initargs(worker, snapshot),
+        )
+
+    def _submit(self, worker: int, payload: tuple) -> Future:
+        return self._workers[worker].submit(self._task, payload)
+
+    def _outbound(self, worker: int) -> tuple[tuple[int, int, bytes] | None, ChunkFaults]:
+        """Worker *worker*'s interner delta and this chunk's chaos (``drop_delta`` applied)."""
+        start, mark, flags = self._snapshot(self._watermarks[worker])
+        self._watermarks[worker] = mark
+        delta = (start, mark, flags) if mark > start else None
+        faults = self._chaos.chunk_faults() if self._chaos is not None else _NO_FAULTS
+        return (None if faults.drop_delta else delta), faults
+
+    def run(self, jobs: Sequence[WorkerJob]) -> list[Any]:
+        """Dispatch *jobs* under supervision; results come back in job order."""
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        return self.supervisor.run(jobs, self._submit, self._respawn)
+
+    def _respawn(self, worker: int) -> None:
+        """Recovery: hard-terminate worker *worker* (a hung one must not linger),
+        seed a replacement from the *current* interner snapshot, re-anchor."""
+        terminate_executor(self._workers[worker])
+        snapshot = self._snapshot(0)
+        self._workers[worker] = self._new_worker(worker, snapshot)
+        self._watermarks[worker] = snapshot[1]
+        self._reanchor(worker)
+
+    def warm(self) -> None:
+        """Spawn and seed every worker now (benchmarks time dispatches, not forking)."""
+        timeout = self.supervisor.deadline_policy.timeout_for(0)
+        futures = [self._submit(worker, self._idle_payload) for worker in range(len(self._workers))]
+        for future in futures:
+            future.result(timeout=timeout)
+
+    def close(self) -> None:
+        """Kill every worker process; idempotent, and the pool is unusable afterwards.
+
+        Hard, not a wind-down: a close after a fault must not leave a hung
+        worker blocking interpreter exit.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for worker in self._workers:
+            terminate_executor(worker)
+
+    def retire(self, fault: FanoutFaultError, fallback: str) -> None:
+        """The one terminal-fault path: close the pool, then raise or demote.
+
+        The plane that drove the faulted dispatch detaches the pool and
+        calls this.  The pool's *own* :class:`FaultPolicy` decides: under
+        ``mode="raise"`` *fault* propagates; otherwise one demotion is
+        counted and a :class:`FanoutFault` warns that the plane falls back
+        to *fallback*, which the caller then runs.
+        """
+        self.close()
+        if not self.supervisor.fault_policy.recovers:
+            raise fault
+        self.supervisor.counters.demotions += 1
+        warnings.warn(
+            FanoutFault(
+                f"{self.pool_name} fan-out demoted after a terminal {fault.kind} fault "
+                f"({fault}); falling back to {fallback}",
+                kind=fault.kind,
+                pool=self.pool_name,
+                attempt=fault.attempt,
+            ),
+            stacklevel=4,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "closed" if self._closed else "open"
+        return f"{type(self).__name__}({len(self._workers)} workers, {state})"
+
+
+# --------------------------------------------------------------------------- #
+# coverage protocol: parent side
+# --------------------------------------------------------------------------- #
+class ProcessFanout(SupervisedPool):
+    """``n_jobs`` seeded worker processes proving coverage pairs.
+
+    The coverage protocol over the :class:`SupervisedPool` core: clause →
+    handle maps, per-worker shipped-handle sets and the ground → worker
+    routing table.  Cheap to create (workers spawn lazily on first
+    dispatch) and safe to share across engines and sessions that compile
+    through one :class:`~repro.logic.compiled.ClauseCompiler`.  A respawned
+    worker gets its registration log replayed (:meth:`_reanchor`); routing
+    survives recovery untouched, so verdict identity holds by construction.
+    """
+
     pool_name = "coverage"
+    _initializer = staticmethod(_seed_worker)
+    _task = staticmethod(_run_chunk)
+    _idle_payload = (None, (), (), (), None)
 
     def __init__(
         self,
@@ -283,17 +407,16 @@ class ProcessFanout:
     ) -> None:
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        self._context = multiprocessing.get_context(start_method or _start_method())
         self.n_jobs = n_jobs
         self._interner = interner
         self._params = dict(params)
-        self.supervisor = PoolSupervisor(
-            self.pool_name, fault_policy=fault_policy, deadline_policy=deadline_policy
+        super().__init__(
+            n_jobs,
+            start_method=start_method,
+            fault_policy=fault_policy,
+            deadline_policy=deadline_policy,
+            chaos=chaos,
         )
-        self._chaos = chaos if chaos is not None else chaos_from_env()
-        snapshot = interner.snapshot_flags(0)
-        self._workers = [self._new_worker(snapshot) for _ in range(n_jobs)]
-        self._watermarks = [snapshot[1]] * n_jobs
         self._shipped_generals: list[set[int]] = [set() for _ in range(n_jobs)]
         self._shipped_grounds: list[set[int]] = [set() for _ in range(n_jobs)]
         self._general_ids: dict[object, int] = {}
@@ -308,15 +431,12 @@ class ProcessFanout:
         #: Ground handle → worker index, fixed at first sight (round-robin).
         self._route: dict[int, int] = {}
         self._next_worker = 0
-        self._closed = False
 
-    def _new_worker(self, snapshot: tuple[int, int, bytes]) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._context,
-            initializer=_seed_worker,
-            initargs=(dict(self._params), snapshot),
-        )
+    def _snapshot(self, watermark: int) -> tuple[int, int, bytes]:
+        return self._interner.snapshot_flags(watermark)
+
+    def _initargs(self, worker: int, snapshot: tuple[int, int, bytes]) -> tuple:
+        return (dict(self._params), snapshot)
 
     # ------------------------------------------------------------------ #
     def dispatch(
@@ -334,8 +454,6 @@ class ProcessFanout:
         the worker's view before the work runs — the single-worker FIFO
         guarantees registration precedes use within the task itself.
         """
-        if self._closed:
-            raise RuntimeError("ProcessFanout is closed")
         n_jobs = self.n_jobs
         tasks: list[tuple[list, list, list]] = [([], [], []) for _ in range(n_jobs)]
         for idx, (general, ground, positive) in enumerate(pairs):
@@ -367,24 +485,16 @@ class ProcessFanout:
         for worker, (generals, grounds, work) in enumerate(tasks):
             if not work:
                 continue
-            start, mark, flags = self._interner.snapshot_flags(self._watermarks[worker])
-            delta = (start, mark, flags) if mark > start else None
-            self._watermarks[worker] = mark
-            directive = None
-            if self._chaos is not None:
-                faults = self._chaos.chunk_faults()
-                directive = faults.directive
-                if faults.drop_delta:
-                    delta = None
-                if faults.corrupt_wire:
-                    if grounds:
-                        grounds = self._chaos.corrupt_bundles(grounds)
-                    else:
-                        generals = self._chaos.corrupt_bundles(generals)
+            delta, faults = self._outbound(worker)
+            if faults.corrupt_wire:
+                if grounds:
+                    grounds = self._chaos.corrupt_bundles(grounds)
+                else:
+                    generals = self._chaos.corrupt_bundles(generals)
             jobs.append(
                 WorkerJob(
                     worker=worker,
-                    payload=(delta, tuple(generals), tuple(grounds), tuple(work), directive),
+                    payload=(delta, tuple(generals), tuple(grounds), tuple(work), faults.directive),
                     # A recovered worker is reseeded from the current full
                     # snapshot and replayed every shipped bundle, so the
                     # retry needs neither delta nor registrations.
@@ -393,32 +503,20 @@ class ProcessFanout:
                 )
             )
         verdicts = [False] * len(pairs)
-        for part in self.supervisor.run(jobs, self._submit, self._recover_worker):
+        for part in self.run(jobs):
             for idx, verdict in part:
                 verdicts[idx] = verdict
         return verdicts
 
     # ------------------------------------------------------------------ #
-    def _submit(self, worker: int, payload: tuple) -> Future:
-        return self._workers[worker].submit(_run_chunk, payload)
+    def _reanchor(self, worker: int) -> None:
+        """Replay a respawned worker's registration log.
 
-    def _recover_worker(self, worker: int) -> None:
-        """Respawn worker *worker* and replay its registration log.
-
-        The old executor is hard-terminated (a hung worker must not linger),
-        a fresh single-worker executor is seeded from the *current* interner
-        snapshot, and every bundle the dead worker had registered — by the
-        shipped-handle sets, which were updated when the lost chunk was
-        built — is re-shipped from the parent's retained wires in one replay
-        task.  FIFO ordering guarantees the replay lands before the retried
-        chunk; handle order is sorted, so registration is deterministic.
-        Routing is deliberately untouched: verdicts are routing-independent,
-        and the surviving workers' state is exactly as shipped.
+        Every bundle in the worker's shipped-handle sets (already updated for
+        the lost chunk) is re-shipped from the retained wires in one replay
+        task, in sorted handle order; the FIFO lands it before the retried
+        chunk.  Routing is deliberately untouched.
         """
-        terminate_executor(self._workers[worker])
-        snapshot = self._interner.snapshot_flags(0)
-        self._workers[worker] = self._new_worker(snapshot)
-        self._watermarks[worker] = snapshot[1]
         generals = tuple(
             (handle, self._general_wires[handle])
             for handle in sorted(self._shipped_generals[worker])
@@ -428,14 +526,7 @@ class ProcessFanout:
             for handle in sorted(self._shipped_grounds[worker])
         )
         if generals or grounds:
-            self._workers[worker].submit(_run_chunk, (None, generals, grounds, (), None))
-
-    def warm(self) -> None:
-        """Spawn and seed every worker now (benchmarks time dispatch, not forking)."""
-        empty = (None, (), (), (), None)
-        timeout = self.supervisor.deadline_policy.timeout_for(0)
-        for future in [worker.submit(_run_chunk, empty) for worker in self._workers]:
-            future.result(timeout=timeout)
+            self._submit(worker, (None, generals, grounds, (), None))
 
     def reset_routing(self) -> None:
         """Forget the ground → worker pinning; the next dispatch rebalances.
@@ -455,27 +546,9 @@ class ProcessFanout:
         self._route.clear()
         self._next_worker = 0
 
-    def close(self) -> None:
-        """Shut the worker processes down; the fan-out is unusable afterwards.
-
-        Idempotent, and hard: worker processes are killed, not merely asked
-        to wind down — a close after a fault (demotion closes the faulted
-        pool, healthy siblings included) must not leave a hung
-        worker blocking interpreter exit.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            terminate_executor(worker)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return f"ProcessFanout({self.n_jobs} workers, {state})"
-
 
 # --------------------------------------------------------------------------- #
-# saturation scatter/gather: worker side
+# shard protocol: worker side
 # --------------------------------------------------------------------------- #
 # Separate module-level state from the coverage plane: a process can in
 # principle serve both (coverage chunks and chase depths), and the two
@@ -545,36 +618,26 @@ def _run_depth(task: tuple) -> tuple[_MembershipPart, _EqualityPart]:
 
 
 # --------------------------------------------------------------------------- #
-# saturation scatter/gather: parent side
+# shard protocol: parent side
 # --------------------------------------------------------------------------- #
-class SaturationFanout:
-    """Shard workers answering the chase's per-depth probes in parallel.
+class SaturationFanout(SupervisedPool):
+    """One seeded worker per shard, answering the chase's per-depth probes.
 
-    One single-worker executor per shard (the same FIFO topology as
-    :class:`ProcessFanout`: a task that applies a row delta runs before any
-    task probing it).  Workers are seeded once with their shard wires and
-    the interner flag snapshot; each :meth:`depth_tables` dispatch carries
-    only what changed since — interner flag deltas, appended rows (or a
-    full shard re-ship when an overlay delta rewrote rows), the frontier
-    and the equality probes.  The gather merges the disjoint per-shard
-    answers with :mod:`repro.db.sharding`'s order-exact merges, so the
-    returned tables equal the unsharded prefetch's tables key for key.
-
-    Not thread-safe — one dispatch at a time, from the thread driving the
-    chase (which is how :class:`~repro.core.saturation.FrontierChase`
-    calls it).
-
-    Dispatches run supervised, like :class:`ProcessFanout`'s: deadlines on
-    every await, and a crashed, hung or desynchronised shard worker is
-    killed and respawned seeded with its shard's *current* wire forms and
-    the current interner snapshot (:meth:`_recover_worker` — a full
-    re-seed genuinely repairs a lost delta, which is why desync faults
-    recover here instead of propagating).  The shard index is positional,
-    so recovery cannot change which rows a worker answers for.
+    The shard protocol over the :class:`SupervisedPool` core: per-worker
+    shard generations and shipped-row counts.  Each :meth:`depth_tables`
+    dispatch carries only what changed since the seed — flag deltas,
+    appended rows (or a full shard re-ship after an overlay rewrite), the
+    frontier and the equality probes — and the gather's order-exact merges
+    (:mod:`repro.db.sharding`) equal the unsharded prefetch key for key.
+    A respawned worker is seeded with its shard's *current* wires, so even
+    a desync (a lost delta) is repaired; :meth:`_reanchor` resets the delta
+    bookkeeping to that seed.
     """
 
-    #: Pool name in fault taxonomy warnings and session fault counters.
     pool_name = "saturation"
+    _initializer = staticmethod(_seed_shard_worker)
+    _task = staticmethod(_run_depth)
+    _idle_payload = (None, (), (), (), (), (), None)
 
     def __init__(
         self,
@@ -585,34 +648,33 @@ class SaturationFanout:
         deadline_policy: DeadlinePolicy | None = None,
         chaos: ChaosInjector | None = None,
     ) -> None:
-        self._context = multiprocessing.get_context(start_method or _start_method())
         self.sharded = sharded
         self.shard_count = sharded.shard_count
-        self.supervisor = PoolSupervisor(
-            self.pool_name, fault_policy=fault_policy, deadline_policy=deadline_policy
+        super().__init__(
+            self.shard_count,
+            start_method=start_method,
+            fault_policy=fault_policy,
+            deadline_policy=deadline_policy,
+            chaos=chaos,
         )
-        self._chaos = chaos if chaos is not None else chaos_from_env()
-        snapshot = sharded.interner_snapshot(0)
-        self._workers = [self._new_worker(index, snapshot) for index in range(self.shard_count)]
-        self._watermarks = [snapshot[1]] * self.shard_count
-        relations = sharded.shard_relations()
-        self._generations: list[dict[str, int]] = [
-            {name: rel.generation for name, rel in relations.items()}
-            for _ in range(self.shard_count)
-        ]
-        self._shipped_rows: list[dict[str, int]] = [
-            {name: len(rel.shards[index]) for name, rel in relations.items()}
-            for index in range(self.shard_count)
-        ]
-        self._closed = False
+        self._generations: list[dict[str, int]] = [{} for _ in range(self.shard_count)]
+        self._shipped_rows: list[dict[str, int]] = [{} for _ in range(self.shard_count)]
+        for index in range(self.shard_count):
+            self._reanchor(index)
 
-    def _new_worker(self, index: int, snapshot: tuple[int, int, bytes]) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._context,
-            initializer=_seed_shard_worker,
-            initargs=(self.sharded.wire_shard(index), snapshot),
-        )
+    def _snapshot(self, watermark: int) -> tuple[int, int, bytes]:
+        return self.sharded.interner_snapshot(watermark)
+
+    def _initargs(self, worker: int, snapshot: tuple[int, int, bytes]) -> tuple:
+        return (self.sharded.wire_shard(worker), snapshot)
+
+    def _reanchor(self, worker: int) -> None:
+        """Reset worker *worker*'s delta bookkeeping to what its seed holds."""
+        relations = self.sharded.shard_relations()
+        self._generations[worker] = {name: rel.generation for name, rel in relations.items()}
+        self._shipped_rows[worker] = {
+            name: len(rel.shards[worker]) for name, rel in relations.items()
+        }
 
     # ------------------------------------------------------------------ #
     def _shard_deltas(self, index: int) -> tuple[tuple[ShardWire, ...], tuple]:
@@ -648,30 +710,20 @@ class SaturationFanout:
         The attribute name stays parent-side (workers probe by position);
         it keys the gathered equality table the way the chase consumes it.
         """
-        if self._closed:
-            raise RuntimeError("SaturationFanout is closed")
         self.sharded.sync()
         wire_probes = tuple((name, position, keys) for name, _, position, keys in equal_probes)
         jobs: list[WorkerJob] = []
         for index in range(self.shard_count):
             resets, extends = self._shard_deltas(index)
-            start, mark, flags = self.sharded.interner_snapshot(self._watermarks[index])
-            delta = (start, mark, flags) if mark > start else None
-            self._watermarks[index] = mark
-            directive = None
-            if self._chaos is not None:
-                faults = self._chaos.chunk_faults()
-                directive = faults.directive
-                if faults.drop_delta:
-                    delta = None
-                if faults.corrupt_wire and resets:
-                    # ShardWire payloads, not (handle, wire) pairs: replace
-                    # the first re-shipped shard with the invalid marker.
-                    resets = (CORRUPT_WIRE,) + resets[1:]
+            delta, faults = self._outbound(index)
+            if faults.corrupt_wire and resets:
+                # ShardWire payloads, not (handle, wire) pairs: replace
+                # the first re-shipped shard with the invalid marker.
+                resets = (CORRUPT_WIRE,) + resets[1:]
             jobs.append(
                 WorkerJob(
                     worker=index,
-                    payload=(delta, resets, extends, names, frontier, wire_probes, directive),
+                    payload=(delta, resets, extends, names, frontier, wire_probes, faults.directive),
                     # Recovery reseeds the worker with its shard's current
                     # wires and the full interner snapshot, so the retry
                     # carries only the probes.
@@ -682,9 +734,7 @@ class SaturationFanout:
         attribute_of = {(name, position): attribute for name, attribute, position, _ in equal_probes}
         membership: dict[str, dict[ValueId, frozenset[int]]] = {name: {} for name in names}
         equality: dict[tuple[str, str, ValueId], tuple[int, ...]] = {}
-        for membership_part, equality_part in self.supervisor.run(
-            jobs, self._submit, self._recover_worker
-        ):
+        for membership_part, equality_part in self.run(jobs):
             for name, hits in membership_part:
                 table = membership[name]
                 for key, rows in hits:
@@ -698,54 +748,6 @@ class SaturationFanout:
                         rows if have_rows is None else tuple(sorted(have_rows + rows))
                     )
         return membership, equality
-
-    # ------------------------------------------------------------------ #
-    def _submit(self, worker: int, payload: tuple) -> Future:
-        return self._workers[worker].submit(_run_depth, payload)
-
-    def _recover_worker(self, worker: int) -> None:
-        """Respawn shard worker *worker* seeded with its current shard state.
-
-        The replacement executor's initializer carries the shard's current
-        wire forms and the full interner flag snapshot — a complete re-seed,
-        which is also why a *desynchronised* worker (lost delta, corrupt
-        wire) is recoverable here: the respawn rebuilds the exact state an
-        uninterrupted delta stream would have produced.  The parent-side
-        delta bookkeeping is re-anchored to what the fresh seed contains.
-        """
-        terminate_executor(self._workers[worker])
-        snapshot = self.sharded.interner_snapshot(0)
-        self._workers[worker] = self._new_worker(worker, snapshot)
-        self._watermarks[worker] = snapshot[1]
-        relations = self.sharded.shard_relations()
-        self._generations[worker] = {name: rel.generation for name, rel in relations.items()}
-        self._shipped_rows[worker] = {
-            name: len(rel.shards[worker]) for name, rel in relations.items()
-        }
-
-    def warm(self) -> None:
-        """Spawn and seed every shard worker now (benchmarks time depths, not forking)."""
-        empty: tuple = (None, (), (), (), (), (), None)
-        timeout = self.supervisor.deadline_policy.timeout_for(0)
-        for future in [worker.submit(_run_depth, empty) for worker in self._workers]:
-            future.result(timeout=timeout)
-
-    def close(self) -> None:
-        """Shut the shard workers down; the fan-out is unusable afterwards.
-
-        Idempotent and hard-terminating, like :meth:`ProcessFanout.close` —
-        the chase's fallback detach closes the whole pool, healthy shard
-        workers included, instead of leaking them to interpreter exit.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            terminate_executor(worker)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return f"SaturationFanout({self.shard_count} shards, {state})"
 
 
 class SerialShardScatter:
@@ -762,6 +764,10 @@ class SerialShardScatter:
         self.sharded = sharded
         self.shard_count = sharded.shard_count
         self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     def depth_tables(
         self,

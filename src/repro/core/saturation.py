@@ -50,10 +50,7 @@ alone, so batch composition cannot change what any example gathers.
 
 from __future__ import annotations
 
-import pickle
-import warnings
 import zlib
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -67,7 +64,7 @@ from ..db.tuples import Tuple
 from ..similarity.index import SimilarityIndex
 from .config import DLearnConfig
 from .problem import Example, LearningProblem
-from .supervision import FanoutFault, FanoutFaultError, FaultCounters
+from .supervision import FanoutFaultError, FaultCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fanout import SaturationFanout, SerialShardScatter
@@ -450,9 +447,11 @@ class FrontierChase:
         consults it — ``relevant_serial`` stays the unsharded reference
         oracle — and the gathered tables are, by the sharding layer's
         merge guarantees, equal to the unsharded prefetch's, so results do
-        not depend on the attachment.  Pass ``None`` to detach.  A scatter
-        whose worker pool breaks detaches itself with a ``RuntimeWarning``
-        and the chase falls back to the unsharded path mid-batch.
+        not depend on the attachment.  Pass ``None`` to detach.  A process
+        scatter that faults terminally is detached and retired
+        (:meth:`_scatter_depth`): under its own fault policy it either
+        raises or demotes, and on demotion the chase falls back to the
+        unsharded path mid-batch.
         """
         if scatter is not None and not self.batched:
             raise ValueError(
@@ -580,17 +579,16 @@ class FrontierChase:
         """One depth's probes through the attached shard scatter plane.
 
         Frontier and probe keys travel sorted (deterministic wire payloads).
-        A *supervised* scatter (:class:`~repro.core.fanout.SaturationFanout`)
+        A supervised scatter (:class:`~repro.core.fanout.SaturationFanout`)
         recovers crashed/hung/desynchronised workers internally; only a
         terminal :class:`~repro.core.supervision.FanoutFaultError` reaches
-        here, where the fault policy decides — ``"raise"`` propagates,
-        ``"recover"`` closes the plane, detaches it with a structured
-        :class:`~repro.core.supervision.FanoutFault` warning and returns
-        ``None`` so the caller falls through to the always-correct unsharded
-        path.  A structurally broken *unsupervised* scatter — worker pool
-        died, payload refused to pickle — detaches the same way with a
-        ``RuntimeWarning``; a *desynchronised* unsupervised worker raises
-        instead, because silently recomputing would mask a protocol bug.
+        here, and the chase detaches the plane and hands the fault to
+        :meth:`~repro.core.fanout.SupervisedPool.retire`.  Unless the
+        plane's own policy re-raises, this returns ``None`` and the caller
+        falls through to the always-correct unsharded path.  Any other
+        exception (the in-process
+        :class:`~repro.core.fanout.SerialShardScatter` is unsupervised)
+        propagates: silently recomputing would mask a protocol bug.
         """
         scatter = self._shard_scatter
         assert scatter is not None
@@ -609,43 +607,11 @@ class FrontierChase:
                 ),
             )
         except FanoutFaultError as fault:
-            if self.config.fault_policy.mode == "raise":
-                raise
-            self._detach_scatter(scatter)
-            warnings.warn(
-                FanoutFault(
-                    f"sharded chase scatter demoted after a terminal {fault.kind} "
-                    f"fault ({fault}); falling back to the unsharded chase",
-                    kind=fault.kind,
-                    pool=fault.pool or "saturation",
-                    attempt=fault.attempt,
-                ),
-                stacklevel=4,
-            )
-            return None
-        except (BrokenProcessPool, pickle.PicklingError, OSError) as error:
-            self._detach_scatter(scatter)
-            warnings.warn(
-                f"sharded chase scatter failed ({error!r}); detaching and "
-                "falling back to the unsharded chase",
-                RuntimeWarning,
-                stacklevel=4,
-            )
+            # Only a supervised pool raises this, and it owns the decision.
+            self._shard_scatter = None
+            scatter.retire(fault, "the unsharded chase")
             return None
         return _DepthTables(membership, equality)
-
-    def _detach_scatter(self, scatter: "SaturationFanout | SerialShardScatter") -> None:
-        """Drop a faulted scatter plane: close every worker, record the demotion.
-
-        Closing applies to attached planes too — a demoted plane is unusable
-        either way, leaving its workers up leaked process handles, and the
-        owning preparation rebuilds closed planes on demand.
-        """
-        self._shard_scatter = None
-        supervisor = getattr(scatter, "supervisor", None)
-        if supervisor is not None:
-            supervisor.counters.demotions += 1
-        scatter.close()
 
     # ------------------------------------------------------------------ #
     # per-example chase mechanics (shared by every path)

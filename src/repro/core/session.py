@@ -276,7 +276,7 @@ class DatabasePreparation:
             chaos,
         )
         fanout = self._fanouts.get(key)
-        if fanout is None or fanout._closed:
+        if fanout is None or fanout.closed:
             fanout = ProcessFanout(
                 self.compiler.terms,
                 params,
@@ -326,7 +326,7 @@ class DatabasePreparation:
         """
         key = (shard_count, backend, fault_policy, deadline_policy, chaos)
         scatter = self._scatters.get(key)
-        if scatter is None or scatter._closed:
+        if scatter is None or scatter.closed:
             sharded = self.sharded_instance(shard_count)
             scatter = (
                 SaturationFanout(
@@ -492,8 +492,11 @@ class LearningSession:
                 )
             except (OSError, PermissionError, ValueError) as error:
                 warnings.warn(
-                    f"sharded chase unavailable ({error}); using the unsharded chase",
-                    RuntimeWarning,
+                    FanoutFault(
+                        f"sharded chase unavailable ({error}); using the unsharded chase",
+                        kind="seed-failure",
+                        pool=SaturationFanout.pool_name,
+                    ),
                     stacklevel=2,
                 )
         self.generalizer = Generalizer(self.engine, config, Sampler(config.seed))

@@ -23,8 +23,9 @@ bit-identical results.  This module is the driver for that property:
 * :class:`PoolSupervisor` — the dispatch loop itself: await every future
   under a deadline, classify faults, recover the owning worker through a
   pool-supplied callback, and resubmit the lost chunk; when the policy or
-  the budget says stop, raise a terminal :class:`FanoutFaultError` for the
-  caller to demote or propagate.
+  the budget says stop, raise a terminal :class:`FanoutFaultError`, which
+  the pool's ``retire`` (:class:`repro.core.fanout.SupervisedPool`) turns
+  into a demotion or a propagated error under the same policy.
 
 The module is deliberately stdlib-only (no imports from the rest of
 ``repro``): the fan-out classes, the config and the coverage/saturation
@@ -86,8 +87,9 @@ class FanoutFault(RuntimeWarning):
 class FanoutFaultError(RuntimeError):
     """A terminal pool fault: the policy forbids (further) recovery.
 
-    Raised by :class:`PoolSupervisor` out of a dispatch; the coverage and
-    saturation callers catch it and demote or re-raise per the policy.  Carries
+    Raised by :class:`PoolSupervisor` out of a dispatch; the plane that
+    drove the dispatch detaches the pool and hands the error to the pool's
+    ``retire``, which demotes or re-raises per the pool's policy.  Carries
     the same taxonomy fields as :class:`FanoutFault`.
     """
 
@@ -269,9 +271,9 @@ class PoolSupervisor:
     fault warns a :class:`FanoutFault`, recovers the worker, and resubmits
     the job's clean retry payload with a backed-off deadline — until the
     :class:`FaultPolicy` budget or the retry bound says the fault is
-    terminal, at which point a :class:`FanoutFaultError` propagates to the
-    caller, which demotes or re-raises.  Healthy dispatches are warning-free and
-    touch nothing but the timeout argument.
+    terminal, at which point a :class:`FanoutFaultError` propagates out of
+    the dispatch and the pool's ``retire`` demotes or re-raises.  Healthy
+    dispatches are warning-free and touch nothing but the timeout argument.
     """
 
     def __init__(

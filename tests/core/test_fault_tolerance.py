@@ -185,6 +185,13 @@ class TestFitUnderChaos:
             session.preparation.close()
 
 
+def _assert_retired_without_demotion(pool, attached, counters) -> None:
+    """The state both planes end in after a raise-mode terminal fault."""
+    assert attached is None  # detached...
+    assert pool.closed  # ...and closed, healthy workers included
+    assert counters.demotions == 0  # raised, not demoted
+
+
 # --------------------------------------------------------------------- #
 # the fault policy at the coverage integration point
 # --------------------------------------------------------------------- #
@@ -199,9 +206,19 @@ class TestCoverageLadder:
         )
 
     def test_raise_mode_propagates_the_terminal_fault(self, movie_problem, fast_config):
-        config = self._faulting_config(fast_config, mode="raise")
-        session = LearningSession(movie_problem, config)
+        # The config keeps the default "recover": the attached pool's own
+        # policy is the one that decides.
+        session = LearningSession(movie_problem, fast_config)
+        pool = ProcessFanout(
+            session.engine.compiler.terms,
+            checker_params(session.engine.checker),
+            2,
+            fault_policy=FaultPolicy(mode="raise"),
+            deadline_policy=_DEADLINES,
+            chaos=ChaosInjector(ChaosSpec(kill_at=(0,))),
+        )
         try:
+            session.engine.attach_fanout(pool)
             clause = session.builder.build(
                 list(movie_problem.examples.positives)[0], ground=False
             )
@@ -209,7 +226,9 @@ class TestCoverageLadder:
                 session.engine.batch_covers(clause, movie_problem.examples.all())
             assert excinfo.value.kind == "crash"
             assert excinfo.value.pool == "coverage"
+            _assert_retired_without_demotion(pool, session.engine._fanout, session.engine.fault_counters)
         finally:
+            pool.close()
             session.preparation.close()
 
     def test_exhausted_recovery_budget_demotes(self, movie_problem, fast_config):
@@ -250,7 +269,7 @@ class TestCoverageLadder:
             )
             with pytest.warns(FanoutFault):
                 session.engine.batch_covers(clause, movie_problem.examples.all())
-            assert broken._closed
+            assert broken.closed
             rebuilt = session.preparation.process_fanout(
                 session.engine.checker,
                 config.n_jobs,
@@ -258,7 +277,7 @@ class TestCoverageLadder:
                 deadline_policy=config.deadline_policy,
                 chaos=config.chaos,
             )
-            assert rebuilt is not broken and not rebuilt._closed
+            assert rebuilt is not broken and not rebuilt.closed
             rebuilt.close()
         finally:
             session.preparation.close()
@@ -370,11 +389,13 @@ class TestSaturationRecoveryIdentity:
         for relevant, example in zip(results, ALL_EXAMPLES):
             _assert_same_relevant(relevant, reference.relevant_serial(example))
         assert chase._shard_scatter is None  # detached...
-        assert scatter._closed  # ...and closed, healthy shard worker included
+        assert scatter.closed  # ...and closed, healthy shard worker included
         assert chase.fault_counters.demotions == 1
 
     def test_raise_mode_propagates_from_the_chase(self, movie_problem, fast_config):
-        chase = _make_chase(movie_problem, fast_config.but(fault_policy=FaultPolicy(mode="raise")))
+        # The config keeps the default "recover": the attached pool's own
+        # policy is the one that decides.
+        chase = _make_chase(movie_problem, fast_config)
         scatter = SaturationFanout(
             ShardedInstance(movie_problem.database, 2),
             fault_policy=FaultPolicy(mode="raise"),
@@ -386,6 +407,7 @@ class TestSaturationRecoveryIdentity:
             with pytest.raises(FanoutFaultError) as excinfo:
                 chase.relevant_many(ALL_EXAMPLES)
             assert excinfo.value.pool == "saturation"
+            _assert_retired_without_demotion(scatter, chase._shard_scatter, chase.fault_counters)
         finally:
             scatter.close()
 

@@ -22,6 +22,7 @@ from repro.core import DLearnConfig, FrontierChase, LearningSession
 from repro.core.fanout import SaturationFanout, SerialShardScatter
 from repro.core.problem import Example
 from repro.core.session import DatabasePreparation
+from repro.core.supervision import FanoutFault
 from repro.db.overlay import OverlayInstance
 from repro.db.sharding import ShardedInstance
 
@@ -153,8 +154,10 @@ class TestSessionWiring:
         problem = movie_problem.with_database(
             movie_problem.database.with_storage(interned=False)
         )
-        with pytest.warns(RuntimeWarning, match="sharded chase unavailable"):
+        with pytest.warns(FanoutFault, match="sharded chase unavailable") as captured:
             session = LearningSession(problem, fast_config.but(shard_count=2))
+        faults = [w.message for w in captured.list if isinstance(w.message, FanoutFault)]
+        assert [(f.kind, f.pool) for f in faults] == [("seed-failure", "saturation")]
         assert session.chase._shard_scatter is None
         session.preparation.close()
 
@@ -167,7 +170,7 @@ class TestSessionWiring:
 
 
 class _ExplodingScatter:
-    """A scatter plane whose pool is structurally broken."""
+    """An unsupervised scatter plane whose every depth raises."""
 
     def __init__(self, error: Exception) -> None:
         self.error = error
@@ -180,16 +183,6 @@ class _ExplodingScatter:
 
 
 class TestFallback:
-    def test_structural_failure_detaches_and_falls_back(self, movie_problem, fast_config):
-        chase = make_chase(movie_problem, fast_config)
-        chase.attach_shard_scatter(_ExplodingScatter(OSError("worker pool died")))
-        reference = make_chase(movie_problem, fast_config)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            results = chase.relevant_many(ALL_EXAMPLES)
-        assert chase._shard_scatter is None
-        for relevant, example in zip(results, ALL_EXAMPLES):
-            assert_same_relevant(relevant, reference.relevant_serial(example))
-
     def test_desync_is_a_protocol_bug_and_propagates(self, movie_problem, fast_config):
         chase = make_chase(movie_problem, fast_config)
         chase.attach_shard_scatter(_ExplodingScatter(RuntimeError("shard worker desynchronised")))
