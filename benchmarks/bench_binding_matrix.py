@@ -7,10 +7,7 @@ neighbourhood before the budget valve concedes.  The numpy compute plane
 (:mod:`repro.logic.kernels`) seeds a ``[n_slots, n_terms]`` binding matrix
 from the compiled bitmask prefilters, runs arc-consistency sweeps to a
 fixpoint and, whenever a slot's candidate row empties, refutes the search
-with an **unsat certificate** — no backtracking, no budget burn.  The column
-kernels (:mod:`repro.db.kernels`) batch the chase's frontier-row unions and
-``select_equal_many`` probes as dense passes over the ``array('q')`` id
-columns.
+with an **unsat certificate** — no backtracking, no budget burn.
 
 This benchmark pits ``DLearnConfig.vectorized_kernels=True`` (the default)
 against the switched-off plain compiled stack on a CFD-heavy synthetic cell
@@ -20,9 +17,11 @@ and a Figure-1-style IMDB+OMDB workload:
   clauses against cross-example grounds: the doomed-retry hot path.  The
   certificate must short-circuit at least 90% of the searches that exhaust
   their budget in the plain engine (measured via ``SearchStats``).
-* ``saturation`` — one batched chase over every training example on a fresh
-  session: the db column-kernel path.
 * ``fit``        — the covering-loop fit plus test-set prediction.
+
+The switch does not reach the chase (it always probes the insert-time hash
+indexes), so there is no saturation phase: both modes would time the same
+code.
 
 The two stacks must be **observationally identical**: equal coverage
 verdicts, equal retained-literal lists, byte-identical learned definitions
@@ -57,6 +56,7 @@ from repro.logic import HornClause
 from repro.logic.subsumption import SubsumptionChecker
 
 MODES = ("plain", "kernels")
+PHASES = ("retained", "fit")
 
 #: Step budget of the retained phase — small enough that a doomed retry
 #: visibly exhausts it in the plain engine, large enough that every
@@ -183,13 +183,6 @@ class _Cell:
             positives = list(session.problem.examples.positives)
             examples = session.problem.examples.all()
 
-            # Saturation phase: one batched chase on a *fresh* session — the
-            # db column kernels run (or not) inside the depth prefetch.
-            chase_session = self._session(mode)
-            started = time.perf_counter()
-            chase_session.warm_saturation(examples)
-            saturation_seconds = time.perf_counter() - started
-
             grounds = engine.prepared_grounds(examples)
             candidates = _candidate_clauses(session, positives)
             verdicts = [tuple(engine.batch_covers(candidate, examples)) for candidate in candidates]
@@ -228,7 +221,6 @@ class _Cell:
             fit_seconds = time.perf_counter() - started
 
             results[mode] = {
-                "saturation_seconds": saturation_seconds,
                 "retained_seconds": retained_seconds,
                 "fit_seconds": fit_seconds,
                 "verdicts": verdicts,
@@ -252,7 +244,7 @@ class _Cell:
                 if kept is None:
                     results[mode] = outcome
                 else:
-                    for phase in ("saturation_seconds", "retained_seconds", "fit_seconds"):
+                    for phase in ("retained_seconds", "fit_seconds"):
                         kept[phase] = min(kept[phase], outcome[phase])
 
         plain, kernels = results["plain"], results["kernels"]
@@ -278,14 +270,14 @@ class _Cell:
             "short_circuit": round(short_circuit, 4),
             **{f"identical_{key}": value for key, value in identical.items()},
         }
-        for phase in ("saturation", "retained", "fit"):
+        for phase in PHASES:
             plain_s = plain[f"{phase}_seconds"]
             kernels_s = kernels[f"{phase}_seconds"]
             cell[f"{phase}_speedup"] = round(plain_s / kernels_s, 3) if kernels_s else float("inf")
         for mode in MODES:
             cell[mode] = {
                 f"{phase}_seconds": round(results[mode][f"{phase}_seconds"], 4)
-                for phase in ("saturation", "retained", "fit")
+                for phase in PHASES
             }
         return cell
 
@@ -304,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     header = (
-        f"{'cell':<16} {'cands':>6} {'exhausted':>10} {'shortcut':>9} {'satur_x':>8} "
+        f"{'cell':<16} {'cands':>6} {'exhausted':>10} {'shortcut':>9} "
         f"{'retain_x':>9} {'fit_x':>7} {'identical':>10}"
     )
     print(header)
@@ -317,13 +309,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{cell['cell']:<16} {cell['candidates']:>6} "
             f"{cell['exhausted_plain']:>4} -> {cell['exhausted_kernels']:>3} "
-            f"{cell['short_circuit']:>8.0%} {cell['saturation_speedup']:>7.2f}x "
+            f"{cell['short_circuit']:>8.0%} "
             f"{cell['retained_speedup']:>8.2f}x {cell['fit_speedup']:>6.2f}x "
             f"{'yes' if identical else 'NO':>10}"
         )
 
     aggregates = {}
-    for phase in ("saturation", "retained", "fit"):
+    for phase in PHASES:
         plain = sum(cell["plain"][f"{phase}_seconds"] for cell in cells)
         kernels = sum(cell["kernels"][f"{phase}_seconds"] for cell in cells)
         aggregates[f"{phase}_speedup"] = round(plain / kernels, 3) if kernels else float("inf")
@@ -336,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     # are arc-consistent, so no certificate can fire on them.
     gate_cells = [cell for cell in cells if cell["cell"] == GATE_CELL]
     min_short_circuit = min((cell["short_circuit"] for cell in gate_cells), default=1.0)
-    print(f"aggregate saturation speedup : {aggregates['saturation_speedup']:.2f}x")
     print(f"aggregate retained speedup   : {aggregates['retained_speedup']:.2f}x")
     print(f"aggregate fit-path speedup   : {aggregates['fit_speedup']:.2f}x")
     print(f"CFD-heavy short-circuit      : {min_short_circuit:.0%}")

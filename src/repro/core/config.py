@@ -87,19 +87,16 @@ class DLearnConfig:
         hit the valve may drop different literals under the two engines
         (both conservatively).
     vectorized_kernels:
-        Run the numpy compute plane (:mod:`repro.logic.kernels`,
-        :mod:`repro.db.kernels`) on top of the compiled/interned structures:
-        arc-consistency sweeps over the ``[n_slots, n_terms]`` binding matrix
-        refute provably hopeless subsumption searches before the backtracking
-        engine starts (the unsat certificate), and the batched chase resolves
-        frontier-row unions and ``select_equal_many`` as dense passes over
-        the ``array('q')`` id columns.  The certificate is sound and the
-        column kernels are value-identical probe implementations, so
-        verdicts, retained-literal lists, saturation results and learned
-        definitions are identical with the switch on or off (the kernels
-        property suite and ``benchmarks/bench_binding_matrix.py`` assert
-        this) — only the cost profile differs.  The pure-Python paths remain
-        the reference oracles; without numpy the switch degrades to off.
+        Run the arc-consistency unsat certificate (:mod:`repro.logic.kernels`,
+        numpy) on top of the compiled subsumption engine: sweeps over the
+        ``[n_slots, n_terms]`` binding matrix refute provably hopeless
+        searches before the backtracking engine starts.  The certificate is
+        sound, so verdicts, retained-literal lists and learned definitions
+        are identical with the switch on or off (the kernels property suite
+        and ``benchmarks/bench_binding_matrix.py`` assert this) — only the
+        cost profile differs.  The chase does not read this switch: it
+        always probes the insert-time hash indexes.  Without numpy the
+        switch degrades to off.
     n_jobs:
         Number of worker processes the coverage fan-out of
         :meth:`repro.core.coverage.CoverageEngine.batch_covers` (and with it

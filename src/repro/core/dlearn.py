@@ -81,10 +81,12 @@ class LearnedModel:
         """Classify *examples*: ``True`` when the learned definition covers the tuple.
 
         Runs through the batched coverage API: every clause of the definition
-        is prepared once and reused across all examples (and the fan-out
-        honours ``config.n_jobs``).  With a learning session attached the
-        evaluation engine is memoised per example-value set, so consecutive
-        calls classify through the same prepared indexes and ground clauses.
+        is prepared once and reused across all examples, and the checks run
+        serially on the calling thread whatever ``config.n_jobs`` says (see
+        :meth:`~repro.core.coverage.CoverageEngine.batch_predicts_positive`).
+        With a learning session attached the evaluation engine is memoised
+        per example-value set, so consecutive calls classify through the same
+        prepared indexes and ground clauses.
         """
         if not self.definition:
             return [False for _ in examples]

@@ -54,7 +54,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..db import kernels as db_kernels
 from ..db.instance import DatabaseInstance
 from ..db.interning import MISSING_ID
 from ..db.overlay import OverlayInstance
@@ -281,11 +280,14 @@ class _DepthTables:
 
     ``any_rows`` maps relation name → (frontier id → matching rows) — the
     shape :meth:`DatabaseProbeCache.any_rows_table` returns, one table per
-    allowed relation, non-empty keys only.  ``equal_rows`` carries the
-    scatter/gather plane's gathered MD equality answers keyed
-    ``(relation name, attribute, partner id)``; it is ``None`` on the
-    unsharded path, where the same probes are warmed into the index/probe
-    caches instead and answered by ``probes.rows_equal`` at use.  Either
+    allowed relation, non-empty keys only; on the unsharded path it is
+    exactly that method's answer, read from the hash indexes the relations
+    maintain at insert time.  ``equal_rows`` carries the scatter/gather
+    plane's gathered MD equality answers keyed ``(relation name, attribute,
+    partner id)``; it is ``None`` on the unsharded path, where the same
+    probes are warmed into the attribute indexes (and the probe cache's
+    memo, on memoised storage) by :meth:`DatabaseProbeCache.prefetch_equal`
+    and answered by ``probes.rows_equal`` at use.  Either
     way a missing key falls back to the probe layer, so the prefetched
     subset is an optimisation, never a correctness dependency.
     """
@@ -303,6 +305,10 @@ class _DepthTables:
 
 class FrontierChase:
     """Gathers relevant tuples for one or many examples (Algorithm 2, lines 1-12).
+
+    The batched chase has one probe path per plane: unsharded depths resolve
+    through ``probes`` (the relations' insert-time hash indexes), sharded
+    depths through the attached scatter plane.
 
     Parameters
     ----------
@@ -343,19 +349,6 @@ class FrontierChase:
         self.cache = cache or SaturationCache()
         self.batched = batched
         self._interner = problem.database.interner
-        #: Route the depth prefetch through the numpy column kernels.  Gated
-        #: to exactly the storage the kernels cover — interned, non-overlay
-        #: instances, whose array('q') columns admit zero-copy views (this is
-        #: also precisely the storage the probe cache does *not* memoise, so
-        #: no memo layer is bypassed).  Results are value-identical either
-        #: way; only the cost profile differs.
-        self._vectorized = (
-            batched
-            and config.vectorized_kernels
-            and db_kernels.HAS_NUMPY
-            and problem.database.interned
-            and not isinstance(problem.database, OverlayInstance)
-        )
         #: (md name, value id) → decoded top-k partner values.
         self._partner_cache: dict[tuple[str, object], tuple[object, ...]] = {}
         #: value id → chaseability verdict; valid per chase (fixed config limit).
@@ -501,16 +494,21 @@ class FrontierChase:
     def _prefetch_depth(self, states: Sequence[_ChaseState]) -> _DepthTables:
         """Resolve the probes this depth is known to need, one index walk each.
 
-        Exact-match probes: the union of the active frontier ids, against
-        every allowed relation — returned as one id→rows table per relation,
-        so distributing rows to examples is a plain dictionary lookup.  MD
+        Every probe goes through :class:`DatabaseProbeCache` — hash lookups
+        in the indexes the relations maintain at insert time.  Exact-match
+        probes: the union of the active frontier ids, against every allowed
+        relation — returned as one id→rows table per relation
+        (:meth:`DatabaseProbeCache.any_rows_table`), so distributing rows to
+        examples is a plain dictionary lookup.  MD
         probes: the union of every example's ``search_values`` *as of depth
         start*.  Constants recorded midway through the depth (a tuple sampled
         by an earlier relation putting a frontier value into a premise
         position) can add search values the prefetch did not see — those fall
         back to the same index-level caches, which compute on miss, so
         prefetching a depth-start subset is purely an optimisation and never
-        a correctness concern.
+        a correctness concern.  A request's frontier is a handful of ids, so
+        per-key hash probes beat dense column passes, whose fixed per-call
+        cost dominates at that size.
 
         With a shard scatter attached (:meth:`attach_shard_scatter`) both
         probe shapes are resolved by the scatter plane instead — the shard
@@ -553,21 +551,12 @@ class FrontierChase:
             tables = self._scatter_depth(allowed, union_frontier, equal_probes)
             if tables is not None:
                 return tables
-        tables_map: dict[str, dict[object, frozenset[int]]] = {}
-        for relation in allowed:
-            tables_map[relation.schema.name] = (
-                relation.any_rows_table_vectorized(union_frontier)
-                if self._vectorized
-                else self.probes.any_rows_table(relation, union_frontier)
-            )
+        tables_map = {
+            relation.schema.name: self.probes.any_rows_table(relation, union_frontier)
+            for relation in allowed
+        }
         for relation, to_attribute, partner_keys in equal_probes:
-            if self._vectorized:
-                # One numpy pass over the id column, seeding the
-                # attribute index with pre-frozen entries for the
-                # per-key probes the depth's advance will issue.
-                relation.rows_equal_ids_vectorized(to_attribute, partner_keys)
-            else:
-                self.probes.prefetch_equal(relation, to_attribute, partner_keys)
+            self.probes.prefetch_equal(relation, to_attribute, partner_keys)
         return _DepthTables(tables_map, None)
 
     def _scatter_depth(

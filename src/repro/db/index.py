@@ -107,24 +107,6 @@ class AttributeIndex:
         """
         return {key: self.rows_for(key) for key in keys}
 
-    def seed_frozen(self, table: dict[ValueId, tuple[int, ...]]) -> None:
-        """Install externally computed probe results as frozen entries.
-
-        The column kernels (:mod:`repro.db.kernels`) compute many keys'
-        ascending row tuples in one vectorised pass; installing them here
-        lets the per-key probes that follow return the shared tuples without
-        a freeze per entry.  Each installed tuple must equal what freezing
-        the live entry would produce — ascending insertion order, which any
-        whole-column scan yields.  Empty results are skipped (an absent key
-        must stay absent: containment and :meth:`values` enumerate only ids
-        the relation actually stores), and already-frozen entries are kept
-        so repeated probes keep returning one shared object.
-        """
-        entries = self._entries
-        for key, rows in table.items():
-            if rows and type(entries.get(key)) is not tuple:
-                entries[key] = rows
-
     def values(self) -> Iterator[ValueId]:
         return iter(self._entries)
 

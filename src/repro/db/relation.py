@@ -25,7 +25,6 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import kernels
 from .index import AttributeIndex, PairValueIndex, ValueIndex
 from .interning import AnyInterner, IdentityInterner, ValueId, ValueInterner
 from .schema import RelationSchema
@@ -281,39 +280,6 @@ class RelationInstance:
 
     def contains_id(self, key: ValueId) -> bool:
         return key in self._value_index
-
-    # ------------------------------------------------------------------ #
-    # vectorised column kernels (numpy over the array('q') id columns)
-    # ------------------------------------------------------------------ #
-    def any_rows_table_vectorized(self, keys: Iterable[ValueId]) -> dict[ValueId, frozenset[int]]:
-        """Non-empty ``{key → rows containing key in any attribute}`` in one pass.
-
-        The vectorised counterpart of probing :meth:`rows_with_ids` and
-        dropping empty hits — the depth-local probe table the batched chase
-        hands to every example.  Value-identical to the index path; falls
-        back to it when the kernels cannot run (no numpy, identity storage).
-        """
-        if kernels.vectorizable(self._columns):
-            return kernels.membership_table(self._columns, keys)
-        return {key: rows for key, rows in self.rows_with_ids(keys).items() if rows}
-
-    def rows_equal_ids_vectorized(
-        self, attribute_name: str, keys: Iterable[ValueId]
-    ) -> dict[ValueId, tuple[int, ...]]:
-        """Vectorised batched ``σ_{A = v}`` over the id column, warming the index.
-
-        Computes every key's ascending row tuple in one numpy pass and
-        installs the non-empty results as pre-frozen attribute-index entries
-        (:meth:`repro.db.index.AttributeIndex.seed_frozen`), so the per-key
-        :meth:`rows_equal_id` probes that follow a prefetch return the shared
-        tuples without freezing entries one at a time.
-        """
-        position = self.schema.position_of(attribute_name)
-        if not kernels.vectorizable(self._columns):
-            return self.rows_equal_ids(attribute_name, keys)
-        table = kernels.equal_rows_table(self._columns[position], keys)
-        self._attribute_indexes[position].seed_frozen(table)
-        return table
 
     def has_duplicate_rows(self) -> bool:
         """Whether at least two stored rows are exactly identical."""

@@ -9,8 +9,8 @@ rows' id columns, the matching global row numbers, and its own insert-time
 keyed directly on **global** rows — so a shard answers the chase's two probe
 shapes (membership: "rows containing id ``v`` anywhere"; equality: "rows whose
 attribute ``A`` equals ``v``") locally, in global row terms, with the same
-insert-time hash indexes the unsharded relation uses (the PR 7 finding:
-warm hash indexes beat dense passes at every probed size).
+insert-time hash indexes the unsharded relation uses (warm hash indexes beat
+dense numpy column passes at every probed size).
 
 Identity by construction:
 

@@ -864,8 +864,10 @@ class SubsumptionChecker:
         literals: list[Literal] = []
         for literal in clause.body:
             if literal.is_relation or literal.is_repair:
-                mapping = {t: canon(t) for t in literal.all_terms()}
-                literals.append(literal.replace_terms(mapping))
+                mapping = {t: image for t in literal.all_terms() if (image := canon(t)) != t}
+                # Most literals touch no collapsed term; literals are frozen,
+                # so the clause's own object is shared instead of rebuilt.
+                literals.append(literal.replace_terms(mapping) if mapping else literal)
         return literals
 
     @staticmethod

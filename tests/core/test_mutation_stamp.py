@@ -8,9 +8,10 @@ database state that no longer exists.  The coverage engine now stamps the
 database (:meth:`mutation_stamp`) and drops every derived cache — ground
 clauses, verdicts, saturation results, probe tables — when the stamp moves.
 
-The wiring tests pin where the vectorised chase kernels may engage: exactly
-the interned, non-overlay storage whose columns the numpy kernels cover, and
-that engaging them never changes what is learned.
+The wiring tests pin where ``DLearnConfig.vectorized_kernels`` reaches: only
+the session checker's arc-consistency certificate.  The chase resolves every
+depth through the probe cache's insert-time indexes whatever the switch
+says, and flipping it never changes what is learned or predicted.
 """
 
 from __future__ import annotations
@@ -108,15 +109,35 @@ class TestVerdictCacheInvalidation:
 
 
 class TestVectorizedWiring:
-    def test_chase_kernels_engage_only_on_interned_plain_storage(self, movie_problem, fast_config):
-        from repro.db.kernels import HAS_NUMPY
+    @pytest.mark.parametrize("overlay", [False, True], ids=["plain", "overlay"])
+    def test_switch_reaches_only_the_checker(
+        self, movie_problem, fast_config, monkeypatch, overlay
+    ):
+        from repro.core.saturation import DatabaseProbeCache
+        from repro.logic.kernels import HAS_NUMPY
 
-        session = LearningSession(movie_problem, fast_config)
-        assert session.chase._vectorized == HAS_NUMPY
-        off = LearningSession(movie_problem, fast_config.but(vectorized_kernels=False))
-        assert not off.chase._vectorized
-        overlay_problem = movie_problem.with_database(OverlayInstance.over(movie_problem.database))
-        assert not LearningSession(overlay_problem, fast_config).chase._vectorized
+        if overlay:
+            movie_problem = movie_problem.with_database(OverlayInstance.over(movie_problem.database))
+        calls: list[bool] = []
+        any_rows_table = DatabaseProbeCache.any_rows_table
+
+        def counted(self, relation, keys):
+            calls.append(True)
+            return any_rows_table(self, relation, keys)
+
+        monkeypatch.setattr(DatabaseProbeCache, "any_rows_table", counted)
+        examples = [Example((f"m{i}",), True) for i in range(1, 5)]
+        relevant, probe_calls = {}, {}
+        for switch in (True, False):
+            calls.clear()
+            session = LearningSession(movie_problem, fast_config.but(vectorized_kernels=switch))
+            assert session.engine.checker.vectorized_kernels == (switch and HAS_NUMPY)
+            relevant[switch] = [
+                [t.values for t in result.tuples] for result in session.chase.relevant_many(examples)
+            ]
+            probe_calls[switch] = len(calls)
+        assert relevant[True] == relevant[False]
+        assert probe_calls[True] == probe_calls[False] > 0
 
     def test_vectorized_switch_does_not_change_what_is_learned(self, movie_problem, fast_config):
         on = DLearn(fast_config.but(vectorized_kernels=True)).fit(movie_problem)

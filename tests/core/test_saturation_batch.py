@@ -10,9 +10,19 @@ the same tuples with exactly the same similarity evidence.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import BottomClauseBuilder, Example, FrontierChase, LearningSession
-from repro.db import Sampler
+from repro.core.saturation import DatabaseProbeCache
+from repro.db import (
+    AttributeType,
+    DatabaseInstance,
+    DatabaseSchema,
+    OverlayInstance,
+    RelationSchema,
+    Sampler,
+)
 
 
 ALL_EXAMPLES = [
@@ -101,3 +111,50 @@ class TestBuilderFacade:
         serial_session = LearningSession(movie_problem, fast_config, serial_saturation=True)
         serial_model = DLearn(fast_config).fit(movie_problem, session=serial_session)
         assert [str(c) for c in batched_model.clauses] == [str(c) for c in serial_model.clauses]
+
+
+ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12),
+    ),
+    max_size=40,
+)
+# Probe by raw ids, deliberately overshooting the dense id range so absent
+# keys are exercised alongside present ones.
+KEYS = st.lists(st.integers(min_value=0, max_value=20), unique=True, max_size=15)
+
+
+def triple_db(rows, storage: str) -> DatabaseInstance:
+    """r(a, b, c) holding *rows*; an overlay gets the second half as its delta."""
+    schema = DatabaseSchema.of(
+        RelationSchema.of(
+            "r",
+            [("a", AttributeType.INTEGER), ("b", AttributeType.INTEGER), ("c", AttributeType.INTEGER)],
+        )
+    )
+    database = DatabaseInstance(schema, interned=storage != "identity")
+    if storage != "overlay":
+        database.insert_many("r", rows)
+        return database
+    half = len(rows) // 2
+    database.insert_many("r", rows[:half])
+    overlay = OverlayInstance.over(database)
+    overlay.insert_many("r", rows[half:])
+    return overlay
+
+
+class TestProbeCacheTables:
+    """The depth prefetch's one probe path: hash lookups in the insert-time indexes."""
+
+    @pytest.mark.parametrize("storage", ["interned", "identity", "overlay"])
+    @given(rows=ROWS, keys=KEYS)
+    def test_matches_the_value_index(self, storage, rows, keys):
+        database = triple_db(rows, storage)
+        relation = database.relation("r")
+        reference = {key: hit for key in keys if (hit := relation.rows_with_id(key))}
+        probes = DatabaseProbeCache(database)
+        assert probes.any_rows_table(relation, keys) == reference
+        # A second call answers from the memo on the storages that keep one.
+        assert probes.any_rows_table(relation, keys) == reference

@@ -191,6 +191,36 @@ class TestCompiledEqualsReference:
         assert not reference_checker().subsumes(general, broken).subsumes
 
 
+def _always_rebuilt_index(clause: HornClause, collapse) -> dict:
+    """The collapsed signature index with every literal rebuilt by ``replace_terms``."""
+    index: dict = {}
+    for literal in clause.body:
+        if literal.is_relation or literal.is_repair:
+            rebuilt = literal.replace_terms({t: collapse.find(t) for t in literal.all_terms()})
+            index.setdefault(rebuilt.signature(), []).append(rebuilt)
+    return index
+
+
+class TestPreparedCollapse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(lambda g: _clauses(ground=g, min_body=1, max_body=10)))
+    def test_index_equals_the_always_rebuilt_reference(self, clause):
+        prepared = SubsumptionChecker().prepare(clause)
+        assert prepared.index == _always_rebuilt_index(clause, prepared.collapse)
+        # Literals the collapse leaves unchanged are the clause's own objects.
+        cursors: dict = {}
+        for literal in clause.body:
+            if not (literal.is_relation or literal.is_repair):
+                continue
+            position = cursors.get(literal.signature(), 0)
+            cursors[literal.signature()] = position + 1
+            indexed = prepared.index[literal.signature()][position]
+            if all(prepared.collapse.find(t) == t for t in literal.all_terms()):
+                assert indexed is literal
+            else:
+                assert indexed is not literal
+
+
 class TestTermInterner:
     def test_ids_are_dense_and_stable(self):
         interner = TermInterner()
